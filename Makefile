@@ -1,7 +1,8 @@
 # The verify target is the single source of truth for "does this tree
 # pass": CI runs exactly `make verify`, so local runs and the gate
 # cannot drift. It mirrors the tier-1 command (go build && go test)
-# plus the formatting gate.
+# plus the formatting gate, and vets and tests the benchmark in bench/,
+# a module of its own that `./...` does not reach.
 
 GO ?= go
 
@@ -12,12 +13,13 @@ GO ?= go
 COVER_FLOORS = internal/core:95 internal/tsdb:83 internal/tsdb/mmapstore:85 internal/wal:70 \
 	internal/sketch:90 internal/query:92
 
-.PHONY: verify fmt-check build test race bench-smoke agg-smoke cover-check alloc-check oracle-sweep docs-check
+.PHONY: verify fmt-check build test race bench-smoke cover-check alloc-check oracle-sweep docs-check
 
 verify: fmt-check
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) vet -C bench . && $(GO) test -C bench .
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -34,23 +36,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# One short pass of the benchmark in bench/ (every workload, the
+# correctness gate included), so a build that breaks the harness or
+# trips its gate fails here rather than in a full measurement.
 bench-smoke:
-	$(GO) run ./cmd/plabench -server-bench -server-clients 4,16 -server-points 4000,1000 \
-		-server-rounds 2 -server-sync mem,always -server-store mem,mmap \
-		-server-transport tcp,udp \
-		-server-lag 0,10,100 -server-lag-eps 0.5 \
-		-o bench-smoke.json
-	$(GO) run ./cmd/plabench -extent-bench -extent-segments 4000 -server-rounds 2 \
-		-o extent-smoke.json
-	$(GO) run ./cmd/plabench -pressure-bench -pressure-clients 4 -pressure-points 8000 \
-		-pressure-queue 2 -o pressure-smoke.json
-
-# A shrunken archive keeps this on the merge path; the run still
-# cross-checks the pushdown answer against the SCAN-and-fold reference,
-# so a wrong aggregate fails the build, not just a slow one.
-agg-smoke:
-	$(GO) run ./cmd/plabench -server-agg -server-agg-segments 20000 -server-rounds 2 \
-		-o agg-smoke.json
+	bash bench/run.sh -seconds 1 -o bench-smoke.json
 
 # Zero-allocation ratchet for the ingest and query hot loops: every
 # *ZeroAlloc benchmark (frame/record encode, shard apply, datagram

@@ -3,39 +3,21 @@
 //
 // Usage:
 //
-//	plabench [-experiment all|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13]
+//	plabench [-experiment all|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|ablation]
 //	         [-quick] [-seed n] [-dump-sst file.csv]
-//	plabench -server-bench [-server-clients 8,64] [-server-points 20000,2500]
-//	         [-server-rounds 5] [-server-shards 8]
-//	         [-server-sync mem,interval,always]
-//	         [-server-transport tcp,udp] [-server-cores 1,2,4,8] [-o BENCH.json]
-//	plabench -server-agg [-server-agg-segments 85000] [-o AGG.json]
-//	plabench -extent-bench [-extent-segments 85000] [-o BENCH_PR8.json]
-//	plabench -rollup-bench [-rollup-segments 85000] [-o BENCH_PR9.json]
-//	plabench -pressure-bench [-pressure-clients 8] [-pressure-points 4000]
-//	         [-pressure-queue 2] [-o BENCH_PR10.json]
 //
 // -quick shrinks the synthetic workloads for a fast smoke run; the
-// canonical numbers in EXPERIMENTS.md come from the default sizes.
-// -server-bench measures the plad network ingest path (concurrent
-// clients over loopback TCP into the sharded archive) once per
-// (workload × sync mode) — -server-clients/-server-points are parallel
-// comma-separated lists, so one run can cover both the few-big-sessions
-// and many-small-sessions (fsync-bound, where group commit shows)
-// shapes — and, with -o, writes a JSON snapshot for cross-PR perf
-// tracking. -server-transport sweeps the ingest wire (loopback TCP vs
-// the PLU1 datagram transport) and -server-cores sweeps GOMAXPROCS per
-// combination, with as many SO_REUSEPORT datagram listeners as cores —
-// the raw-speed scaling picture. -pressure-bench overloads a
-// deliberately starved single-shard server and compares the shed
-// policies (DropNewest vs Sample, with and without an ε byte budget):
-// interval coverage, worst reconstruction error versus the reported
-// effective ε, and the degradation counters.
+// default sizes with -seed 0 are the canonical setting. -dump-sst writes
+// the synthetic sea-surface-temperature series behind Figure 6 as CSV
+// and exits. plabench measures the filters only; the plad server is
+// measured end to end by the benchmark in bench/ (bash bench/run.sh).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -43,88 +25,60 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one plabench invocation and returns its exit code: 0 on
+// success (and for -h), 2 for a flag error, 1 when the run fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("plabench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		experiment = flag.String("experiment", "all", "figure to regenerate (all, fig6 … fig13, ablation)")
-		quick      = flag.Bool("quick", false, "shrink workloads for a fast smoke run")
-		seed       = flag.Uint64("seed", 0, "seed offset for the synthetic workloads (0 = canonical)")
-		dumpSST    = flag.String("dump-sst", "", "write the Figure 6 series as CSV to this file and exit")
-
-		srvBench   = flag.Bool("server-bench", false, "measure the plad network ingest path and exit")
-		srvClients = flag.String("server-clients", "8", "comma-separated concurrent-client counts for -server-bench (parallel with -server-points)")
-		srvPoints  = flag.String("server-points", "20000", "comma-separated points-per-client counts for -server-bench")
-		srvRounds  = flag.Int("server-rounds", 5, "measurement rounds for -server-bench (best is reported)")
-		srvShards  = flag.Int("server-shards", 8, "server shard count for -server-bench")
-		srvSync    = flag.String("server-sync", "mem,interval,always", "comma-separated durability modes for -server-bench: mem, off, interval, always")
-		srvStore   = flag.String("server-store", "mem", "comma-separated store backends for -server-bench: mem, mmap (mmap skips the sync=mem row)")
-		srvTrans   = flag.String("server-transport", "tcp", "comma-separated ingest transports for -server-bench: tcp, udp")
-		srvCores   = flag.String("server-cores", "", "comma-separated GOMAXPROCS values swept per -server-bench combination (empty = leave as-is)")
-		srvLag     = flag.String("server-lag", "", "comma-separated m_max_lag bounds for the lag-bounded -server-bench workload (0 = unbounded; empty disables)")
-		srvLagEps  = flag.String("server-lag-eps", "0.1,0.5,2", "comma-separated ε values swept per -server-lag bound")
-		srvAgg     = flag.Bool("server-agg", false, "measure the AGG pushdown vs SCAN-and-fold on a week-scale range and exit")
-		srvAggSegs = flag.Int("server-agg-segments", 85000, "archive size in segments for -server-agg")
-		extBench   = flag.Bool("extent-bench", false, "measure v1 vs v2+compaction extent archives (disk bytes, cold open/SCAN/AGG, fence vs binary-search lookup) and exit")
-		extSegs    = flag.Int("extent-segments", 85000, "archive size in segments for -extent-bench")
-		rollBench  = flag.Bool("rollup-bench", false, "measure bound-aware tier selection (segments read and AGG latency per rollup tier vs base) and exit")
-		rollSegs   = flag.Int("rollup-segments", 85000, "base archive size in segments for -rollup-bench")
-		pressBench = flag.Bool("pressure-bench", false, "compare shed policies (DropNewest vs Sample) under queue overload and exit")
-		pressCli   = flag.Int("pressure-clients", 8, "concurrent sensors for -pressure-bench")
-		pressPts   = flag.Int("pressure-points", 4000, "points per sensor for -pressure-bench")
-		pressQ     = flag.Int("pressure-queue", 2, "server queue depth for -pressure-bench (small = overloaded)")
-		out        = flag.String("o", "", "write the -server-bench snapshot as JSON to this file")
+		experiment = fs.String("experiment", "all", "figure to regenerate (all, fig6 … fig13, ablation)")
+		quick      = fs.Bool("quick", false, "shrink workloads for a fast smoke run")
+		seed       = fs.Uint64("seed", 0, "seed offset for the synthetic workloads (0 = canonical)")
+		dumpSST    = fs.String("dump-sst", "", "write the Figure 6 series as CSV to this file and exit")
 	)
-	flag.Parse()
-
-	if *pressBench {
-		if err := pressureBench(*pressCli, *pressPts, *pressQ, *out); err != nil {
-			fatal(err)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		return
+		return 2
 	}
-
-	if *rollBench {
-		if err := rollupBench(*rollSegs, *srvRounds, *out); err != nil {
-			fatal(err)
-		}
-		return
+	if err := regenerate(stdout, *experiment, *dumpSST, experiments.Config{Quick: *quick, Seed: *seed}); err != nil {
+		fmt.Fprintln(stderr, "plabench:", err)
+		return 1
 	}
+	return 0
+}
 
-	if *extBench {
-		if err := extentBench(*extSegs, *srvRounds, *out); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *srvAgg {
-		if err := aggBench(*srvAggSegs, *srvRounds, *srvShards, *out); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *srvBench {
-		if err := serverBench(*srvClients, *srvPoints, *srvRounds, *srvShards, *srvSync, *srvStore, *srvTrans, *srvCores, *srvLag, *srvLagEps, *out); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *dumpSST != "" {
-		f, err := os.Create(*dumpSST)
+func regenerate(w io.Writer, experiment, dumpSST string, cfg experiments.Config) error {
+	if dumpSST != "" {
+		f, err := os.Create(dumpSST)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := experiments.DumpSST(f); err != nil {
-			fatal(err)
+			f.Close()
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("wrote sea-surface-temperature series to %s\n", *dumpSST)
-		return
+		fmt.Fprintf(w, "wrote sea-surface-temperature series to %s\n", dumpSST)
+		return nil
 	}
 
-	cfg := experiments.Config{Quick: *quick, Seed: *seed}
+	if experiment == "all" {
+		tables, err := experiments.All(cfg)
+		if err != nil {
+			return err
+		}
+		for _, t := range tables {
+			t.Render(w)
+		}
+		return nil
+	}
 	figs := map[string]func(experiments.Config) (*experiments.Table, error){
 		"fig6":     experiments.Fig6,
 		"fig7":     experiments.Fig7,
@@ -136,30 +90,14 @@ func main() {
 		"fig13":    experiments.Fig13,
 		"ablation": experiments.Ablations,
 	}
-
-	switch *experiment {
-	case "all":
-		tables, err := experiments.All(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		for _, t := range tables {
-			t.Render(os.Stdout)
-		}
-	default:
-		fn, ok := figs[strings.ToLower(*experiment)]
-		if !ok {
-			fatal(fmt.Errorf("unknown experiment %q (want all, fig6…fig13, or ablation)", *experiment))
-		}
-		t, err := fn(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		t.Render(os.Stdout)
+	fn, ok := figs[strings.ToLower(experiment)]
+	if !ok {
+		return fmt.Errorf("unknown experiment %q (want all, fig6…fig13, or ablation)", experiment)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "plabench:", err)
-	os.Exit(1)
+	t, err := fn(cfg)
+	if err != nil {
+		return err
+	}
+	t.Render(w)
+	return nil
 }

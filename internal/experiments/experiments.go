@@ -1,12 +1,11 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (Section 5, Figures 6–13). Each FigN function runs the corresponding
 // workload sweep and returns a Table whose rows mirror the series the
-// paper plots; cmd/plabench renders them, and EXPERIMENTS.md records the
-// measured values next to the paper's. Absolute numbers differ (the sea
-// surface temperature data is synthetic, the hardware is not a 2009
-// Pentium 4), but the comparisons the paper draws — which filter wins,
-// by roughly what factor, where the curves cross — are what these
-// harnesses reproduce.
+// paper plots, and cmd/plabench renders them as text. Absolute numbers
+// differ from the paper's (the sea surface temperature data is
+// synthetic, the hardware is not a 2009 Pentium 4), but the comparisons
+// the paper draws — which filter wins, by roughly what factor, where the
+// curves cross — are what these harnesses reproduce.
 package experiments
 
 import (
@@ -23,7 +22,7 @@ type Config struct {
 	// Quick shrinks the synthetic workloads (for tests and smoke runs).
 	Quick bool
 	// Seed offsets the generator seeds, for sensitivity checks. Zero is
-	// the canonical setting reported in EXPERIMENTS.md.
+	// the canonical setting, the one plabench runs by default.
 	Seed uint64
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/pla-go/pla/internal/core"
-	"github.com/pla-go/pla/internal/loadgen"
 	"github.com/pla-go/pla/internal/server"
 )
 
@@ -100,7 +99,7 @@ func runBackendQueryParity(t *testing.T, tweak func(*server.Config), compacted b
 		insts[i] = inst{s: s, addr: addr, dir: dir}
 	}
 
-	signals := loadgen.Walks(4, 1200)
+	signals := walks(4, 1200)
 	halves := func(k int) [][]core.Point {
 		out := make([][]core.Point, len(signals))
 		for i, sig := range signals {
@@ -116,11 +115,10 @@ func runBackendQueryParity(t *testing.T, tweak func(*server.Config), compacted b
 
 	ingest := func(phase int) {
 		for _, in := range insts {
-			if res, err := loadgen.Round(in.addr, "walk", halves(phase)); err != nil || res.Rejected != 0 || res.Dropped != 0 {
+			if res, err := round(in.addr, "walk", halves(phase), 0, 0); err != nil || res.Rejected != 0 || res.Dropped != 0 {
 				t.Fatalf("%s phase %d: %+v, %v", in.dir, phase, res, err)
 			}
-			if res, err := loadgen.RoundOpts(in.addr, "lagged", halves(phase),
-				loadgen.Options{MaxLag: 20, FlushEvery: 100}); err != nil || res.Rejected != 0 {
+			if res, err := round(in.addr, "lagged", halves(phase), 20, 100); err != nil || res.Rejected != 0 {
 				t.Fatalf("%s lag phase %d: %+v, %v", in.dir, phase, res, err)
 			}
 		}

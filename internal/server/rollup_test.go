@@ -13,12 +13,11 @@ import (
 
 	"github.com/pla-go/pla/internal/core"
 	"github.com/pla-go/pla/internal/gen"
-	"github.com/pla-go/pla/internal/loadgen"
 	"github.com/pla-go/pla/internal/server"
 )
 
 // withTiers configures the canonical rollup ladder used across these
-// tests: 4× and 16× the ingest precision (loadgen.Epsilon).
+// tests: 4× and 16× the ingest precision (ingestEps).
 func withTiers(cfg *server.Config) { cfg.RollupTiers = []int{4, 16} }
 
 // checkContained asserts the tiered answer's band contains the
@@ -49,7 +48,7 @@ func TestRollupTierDifferential(t *testing.T) {
 			s, addr := startBackend(t, dir, backend, withTiers)
 
 			const points = 4000
-			signals := loadgen.Walks(3, points)
+			signals := walks(3, points)
 
 			// Two ingest phases with a compaction sweep after each: the
 			// first sweep builds the tiers, the second extends them
@@ -64,7 +63,7 @@ func TestRollupTierDifferential(t *testing.T) {
 						part[i] = sig[mid:]
 					}
 				}
-				if res, err := loadgen.Round(addr, "walk", part); err != nil || res.Rejected != 0 || res.Dropped != 0 {
+				if res, err := round(addr, "walk", part, 0, 0); err != nil || res.Rejected != 0 || res.Dropped != 0 {
 					t.Fatalf("ingest phase %d: %+v, %v", k, res, err)
 				}
 				if err := s.Compact(); err != nil {
@@ -88,7 +87,7 @@ func TestRollupTierDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				coarse, err := q.AggBound("avg", "walk-0", 0, 0, points, 16*loadgen.Epsilon)
+				coarse, err := q.AggBound("avg", "walk-0", 0, 0, points, 16*ingestEps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,7 +99,7 @@ func TestRollupTierDifferential(t *testing.T) {
 
 				rng := gen.NewRNG(99)
 				ops := []string{"min", "max", "avg", "sum", "count"}
-				bounds := []float64{0, loadgen.Epsilon, 4 * loadgen.Epsilon, 16 * loadgen.Epsilon, 1000}
+				bounds := []float64{0, ingestEps, 4 * ingestEps, 16 * ingestEps, 1000}
 				for trial := 0; trial < 60; trial++ {
 					series := fmt.Sprintf("walk-%d", trial%3)
 					if trial%10 == 9 {
@@ -177,8 +176,8 @@ func TestBoundWireProtocol(t *testing.T) {
 		s.Shutdown(ctx)
 		cancel()
 	}()
-	signals := loadgen.Walks(1, 1000)
-	if res, err := loadgen.Round(addr, "walk", signals); err != nil || res.Rejected != 0 {
+	signals := walks(1, 1000)
+	if res, err := round(addr, "walk", signals, 0, 0); err != nil || res.Rejected != 0 {
 		t.Fatalf("ingest: %+v, %v", res, err)
 	}
 	if err := s.Compact(); err != nil {
@@ -216,7 +215,7 @@ func TestBoundWireProtocol(t *testing.T) {
 		s2.Shutdown(ctx)
 		cancel()
 	}()
-	if res, err := loadgen.Round(addr2, "walk", signals); err != nil || res.Rejected != 0 {
+	if res, err := round(addr2, "walk", signals, 0, 0); err != nil || res.Rejected != 0 {
 		t.Fatalf("ingest: %+v, %v", res, err)
 	}
 	with := rawQuery(t, addr2, []string{"AGG avg walk-0 0 0 1000 BOUND 50"})
@@ -239,8 +238,8 @@ func TestMetricNamesMatchScrape(t *testing.T) {
 		s.Shutdown(ctx)
 		cancel()
 	}()
-	signals := loadgen.Walks(2, 600)
-	if res, err := loadgen.Round(addr, "walk", signals); err != nil || res.Rejected != 0 {
+	signals := walks(2, 600)
+	if res, err := round(addr, "walk", signals, 0, 0); err != nil || res.Rejected != 0 {
 		t.Fatalf("ingest: %+v, %v", res, err)
 	}
 	if err := s.Compact(); err != nil {

@@ -2,12 +2,15 @@ package server_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/pla-go/pla/internal/loadgen"
 	"github.com/pla-go/pla/internal/server"
 )
 
@@ -39,7 +42,7 @@ func TestSampleShedBackendParity(t *testing.T) {
 		insts[i] = inst{s: s, addr: addr, dir: dir}
 	}
 
-	signal := loadgen.Walks(1, 800)[0]
+	signal := walks(1, 800)[0]
 	reported := make([]float64, len(insts))
 	for i, in := range insts {
 		c, err := server.DialAdaptive(in.addr, "shed", server.FilterSpec{
@@ -159,6 +162,110 @@ func TestSampleShedBackendParity(t *testing.T) {
 		}
 	}()
 	compare("restarted")
+}
+
+// TestSampleUnderQueuePressure overloads a starved server — one shard, a
+// two-segment queue — with four retune-capable sensors at an ε tight
+// enough that a random walk finalizes a segment every couple of points.
+// Each sensor streams at least points samples and keeps going until the
+// control loop has made some sensor decimate, so the shed path always
+// runs. Sample must spend precision, never data: no segment is dropped,
+// every sent time stays answerable, and every reconstruction lies within
+// the series' reported query bound.
+func TestSampleUnderQueuePressure(t *testing.T) {
+	const sensors, points, maxPoints, eps = 4, 4000, 100_000, 0.05
+	// A 1 ms retune period lets the control loop act inside a short run.
+	s, err := server.New(nil, server.Config{
+		Shards:       1,
+		QueueDepth:   2,
+		Policy:       server.Sample,
+		RetunePeriod: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		s.Shutdown(ctx)
+		cancel()
+	}()
+
+	signals := walks(sensors, maxPoints)
+	acks := make([]server.Ack, sensors)
+	errs := make([]error, sensors)
+	var engaged atomic.Bool // some sensor has decimated
+	var wg sync.WaitGroup
+	for i, sig := range signals {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := server.DialAdaptive(ln.Addr().String(), fmt.Sprintf("press-%d", i),
+				server.FilterSpec{Kind: "swing", Epsilon: []float64{eps}})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			for n, p := range sig {
+				// Two, because Close re-sends a trailing dropped point and
+				// un-counts it.
+				if c.ShedPoints() >= 2 {
+					engaged.Store(true)
+				}
+				if n >= points && engaged.Load() {
+					signals[i] = sig[:n]
+					break
+				}
+				if err := c.Send(p); err != nil {
+					errs[i] = err
+					return
+				}
+			}
+			acks[i], errs[i] = c.Close()
+		}()
+	}
+	wg.Wait()
+
+	var shed, sent int64
+	for _, sm := range s.Metrics().Shards {
+		shed += sm.ShedPoints
+	}
+	for i, sig := range signals {
+		if errs[i] != nil {
+			t.Fatalf("sensor %d: %v", i, errs[i])
+		}
+		sent += int64(len(sig))
+	}
+	t.Logf("%d of %d points decimated under pressure", shed, sent)
+	if shed == 0 {
+		t.Fatalf("no decimation reached the server within %d points per sensor", maxPoints)
+	}
+	for i, sig := range signals {
+		if acks[i].Dropped != 0 {
+			t.Fatalf("sensor %d: Sample dropped %d segments", i, acks[i].Dropped)
+		}
+		sr, err := s.DB().Get(fmt.Sprintf("press-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		qe := sr.QueryEpsilon()[0]
+		for _, p := range sig {
+			x, ok := sr.At(p.T)
+			if !ok {
+				t.Fatalf("sensor %d: no coverage at t=%v", i, p.T)
+			}
+			if e := math.Abs(x[0] - p.X[0]); e > qe+1e-9 {
+				t.Fatalf("sensor %d: error %g at t=%v exceeds the reported bound %g", i, e, p.T, qe)
+			}
+		}
+	}
+	if m := s.Metrics(); m.Dropped != 0 {
+		t.Fatalf("server dropped %d segments under Sample", m.Dropped)
+	}
 }
 
 // tail clips s around byte i for a divergence report.

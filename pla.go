@@ -23,8 +23,9 @@
 //
 // Compress pushes a whole signal through a filter; Reconstruct builds the
 // receiver-side model; Encode/Decode move recordings over a compact wire
-// format. The pla command set (cmd/plagen, cmd/plafilter, cmd/plabench)
-// and the examples directory exercise the same API.
+// format. The commands (cmd/plagen generates signals, cmd/plafilter
+// compresses them, cmd/plabench regenerates the paper's figures) and the
+// examples directory exercise the same filters.
 //
 // Quick start:
 //
