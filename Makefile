@@ -72,13 +72,19 @@ oracle-sweep:
 	PLA_ORACLE_TRIALS=800 $(GO) test -run TestOracle -count=1 ./internal/core
 
 # Docs drift gate: every plad flag and every /metrics series name must
-# be mentioned somewhere under docs/. The lists come from the binary
-# itself (-list-flags / -list-metrics), so adding a flag or metric
-# without documenting it fails the build — the docs cannot silently rot.
+# be mentioned somewhere under docs/, and every flag-table row in
+# docs/OPERATIONS.md (a line starting | `-name`) must name a flag plad
+# still defines. The lists come from the binary itself (-list-flags /
+# -list-metrics), so adding a flag or metric without documenting it, or
+# deleting a flag without its row, fails the build.
 docs-check:
 	@fail=0; \
-	for f in $$($(GO) run ./cmd/plad -list-flags); do \
+	flags=$$($(GO) run ./cmd/plad -list-flags); \
+	for f in $$flags; do \
 		grep -qr -- "-$$f" docs/ || { echo "docs-check: flag -$$f not documented in docs/"; fail=1; }; \
+	done; \
+	for f in $$(sed -n 's/^| `-\([a-z0-9-]*\)[` ].*/\1/p' docs/OPERATIONS.md); do \
+		echo "$$flags" | grep -qx -- "$$f" || { echo "docs-check: docs/OPERATIONS.md has a row for -$$f, which plad does not define"; fail=1; }; \
 	done; \
 	for m in $$($(GO) run ./cmd/plad -list-metrics); do \
 		grep -qr "$$m" docs/ || { echo "docs-check: metric $$m not documented in docs/"; fail=1; }; \

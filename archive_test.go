@@ -3,7 +3,6 @@ package pla_test
 import (
 	"bytes"
 	"io"
-	"math"
 	"testing"
 
 	pla "github.com/pla-go/pla"
@@ -150,65 +149,6 @@ func TestFacadeConnectionGrid(t *testing.T) {
 	if full.Stats().Recordings > noConn.Stats().Recordings {
 		t.Fatalf("connections raised recordings: %d vs %d",
 			full.Stats().Recordings, noConn.Stats().Recordings)
-	}
-}
-
-func TestFacadeSWABAndBottomUp(t *testing.T) {
-	var signal []pla.Point
-	for j := 0; j < 200; j++ {
-		tt := float64(j)
-		signal = append(signal, pla.Point{T: tt, X: []float64{math.Abs(tt - 100)}})
-	}
-	segs := pla.BottomUp(signal, 0.5)
-	if len(segs) != 2 {
-		t.Fatalf("bottom-up on a V: %d segments", len(segs))
-	}
-	sw, err := pla.NewSWAB(pla.SWABConfig{
-		MaxError:  0.5,
-		NewFilter: func() (pla.Filter, error) { return pla.NewSwingFilter([]float64{0.5}) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var all []pla.Segment
-	for _, p := range signal {
-		out, err := sw.Push(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, out...)
-	}
-	tail, err := sw.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	all = append(all, tail...)
-	total := 0
-	for _, s := range all {
-		total += s.Points
-	}
-	if total != len(signal) {
-		t.Fatalf("SWAB covered %d of %d", total, len(signal))
-	}
-}
-
-func TestFacadeMonitor(t *testing.T) {
-	m := pla.NewMonitor(nil)
-	f, _ := pla.NewSwingFilter([]float64{1})
-	if err := m.Register("s1", f); err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < 50; j++ {
-		if err := m.Push("s1", pla.Point{T: float64(j), X: []float64{float64(j % 3)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats, total := m.Snapshot()
-	if len(stats) != 1 || total.Points != 50 {
-		t.Fatalf("snapshot: %+v %+v", stats, total)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

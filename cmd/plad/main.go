@@ -7,12 +7,11 @@
 // Usage:
 //
 //	plad [-addr :7070] [-shards 8] [-queue 1024]
-//	     [-policy block|drop|drop-oldest|sample] [-shed POLICY]
+//	     [-policy block|drop|drop-oldest|sample]
 //	     [-eps-budget BYTES_PER_SEC] [-retune-every 1s]
 //	     [-transport tcp|udp] [-udp-listeners N]
 //	     [-data-dir DIR] [-store mem|mmap]
 //	     [-extent-compact-min N] [-extent-target-records N]
-//	     [-extent-write-v1] [-no-fence-index]
 //	     [-rollup-tiers 4,16]
 //	     [-sync always|interval|off] [-sync-every 50ms]
 //	     [-compact-bytes N] [-retain T] [-http ADDR]
@@ -49,7 +48,7 @@
 // its ingest ε (derived tiers, invisible to SERIES and "*"), and
 // queries carrying a BOUND argument are answered from the coarsest tier
 // whose composed bound still satisfies it — far fewer segments read,
-// honest wider band on the reply. -policy sample (alias -shed sample)
+// honest wider band on the reply. -policy sample
 // selects graceful degradation: full queues apply backpressure instead
 // of dropping segments, and the retune loop tells retune-capable
 // senders to decimate points ahead of their filter, walking a stride
@@ -101,7 +100,6 @@ func main() {
 		shards       = flag.Int("shards", 8, "filter worker shards")
 		queue        = flag.Int("queue", 1024, "per-shard queue depth (segments)")
 		policy       = flag.String("policy", "block", "overload policy: block (backpressure), drop (shed newest), drop-oldest (shed stalest) or sample (backpressure + retune-capable senders decimate, spending precision instead of losing intervals)")
-		shed         = flag.String("shed", "", "alias for -policy (takes precedence when set)")
 		epsBudget    = flag.Float64("eps-budget", 0, "total ingest byte-rate budget in bytes/s across retune-capable sessions: when exceeded, session ε widens burden-proportionally (up to 16× contract) and relaxes back under budget (0 = disabled)")
 		retuneEvery  = flag.Duration("retune-every", time.Second, "how often the retune loop reassesses session degradation (-policy sample or -eps-budget)")
 		dataDir      = flag.String("data-dir", "", "durable storage directory (empty = in-memory only)")
@@ -109,13 +107,9 @@ func main() {
 		syncPolicy   = flag.String("sync", "interval", "WAL fsync policy with -data-dir: always (ack-after-fsync), interval, off")
 		syncEvery    = flag.Duration("sync-every", 50*time.Millisecond, "background WAL flush/fsync cadence for -sync interval|off")
 		compactBytes = flag.Int64("compact-bytes", 64<<20, "snapshot+truncate a shard's WAL when its tail exceeds this many bytes")
-		commitLinger = flag.Duration("commit-linger", 5*time.Millisecond, "group-commit linger ceiling: how long a shard's committer may wait for more session barriers to share one fsync (negative = never linger)")
-		commitBatch  = flag.Int("commit-max-batch", 0, "stop lingering once a commit batch holds this many barriers (0 = no bound)")
 		retain       = flag.Float64("retain", 0, "retention window in stream-time units; compaction drops older segments (0 = keep everything)")
 		extCompact   = flag.Int("extent-compact-min", 0, "with -store mmap: merge a series' small sealed extents once it has this many (0 = default 8, negative = disable background extent compaction)")
 		extTarget    = flag.Int("extent-target-records", 0, "with -store mmap: stop growing a merged extent once it holds this many records (0 = default 65536)")
-		extWriteV1   = flag.Bool("extent-write-v1", false, "with -store mmap: seal new extents in the fixed-width v1 format instead of bit-packed v2 (v1 archives stay readable either way)")
-		noFenceIndex = flag.Bool("no-fence-index", false, "with -store mmap: disable the learned fence index over extent start times (cold lookups fall back to per-extent binary search)")
 		rollupTiers  = flag.String("rollup-tiers", "", "comma-separated precision multipliers (e.g. 4,16): each compaction sweep maintains a rollup tier per multiplier, and BOUND queries select the coarsest tier that satisfies them (empty = no rollups)")
 		transport    = flag.String("transport", "tcp", "ingest transport: tcp, or udp (adds the datagram endpoint on -addr's port; TCP keeps serving streams and queries)")
 		udpListeners = flag.Int("udp-listeners", 0, "SO_REUSEPORT datagram listeners with -transport udp (0 = one per core)")
@@ -146,22 +140,14 @@ func main() {
 		DataDir:             *dataDir,
 		SyncEvery:           *syncEvery,
 		CompactBytes:        *compactBytes,
-		CommitLinger:        *commitLinger,
-		CommitMaxBatch:      *commitBatch,
 		RetainSegments:      *retain,
 		ExtentCompactMin:    *extCompact,
 		ExtentTargetRecords: *extTarget,
-		ExtentWriteV1:       *extWriteV1,
-		NoFenceIndex:        *noFenceIndex,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "plad: "+format+"\n", args...)
 		},
 	}
-	pol := *policy
-	if *shed != "" {
-		pol = *shed
-	}
-	switch pol {
+	switch *policy {
 	case "block":
 		cfg.Policy = server.Block
 	case "drop":
@@ -171,7 +157,7 @@ func main() {
 	case "sample":
 		cfg.Policy = server.Sample
 	default:
-		fatal(fmt.Errorf("unknown -policy %q (want block, drop, drop-oldest or sample)", pol))
+		fatal(fmt.Errorf("unknown -policy %q (want block, drop, drop-oldest or sample)", *policy))
 	}
 	cfg.EpsBudget = *epsBudget
 	cfg.RetunePeriod = *retuneEvery

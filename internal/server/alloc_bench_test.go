@@ -15,7 +15,7 @@ import (
 // growth.
 func BenchmarkShardApplyZeroAlloc(b *testing.B) {
 	const resetEvery = 1 << 17
-	sh := newShard(0, 16, 0, 0, nil, nil)
+	sh := newShard(0, 16, nil, nil)
 	db := tsdb.New()
 	s, err := db.Create("bench", []float64{0.5}, false)
 	if err != nil {

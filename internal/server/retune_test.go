@@ -272,7 +272,7 @@ func TestServerRenegotiatesUnderBudget(t *testing.T) {
 // and the segment ledger must balance exactly.
 func TestDropOldestManyProducersTorture(t *testing.T) {
 	const producers, perProducer, barriersEach = 8, 400, 5
-	sh := newShard(0, 2, time.Millisecond, 0, nil, nil)
+	sh := newShard(0, 2, nil, nil)
 	go sh.run()
 	db := tsdb.New()
 	var wg sync.WaitGroup

@@ -95,21 +95,6 @@ type Config struct {
 	// SyncEvery is the background flush/fsync cadence for the interval
 	// policies (default 50ms).
 	SyncEvery time.Duration
-	// CommitLinger caps the group-commit linger: how long a shard's
-	// committer waits for more session barriers to join one fsync. The
-	// linger itself adapts to the observed commit cost (an EWMA of ~8×
-	// the last fsync); this is its ceiling. Default 5ms; negative
-	// disables lingering entirely, so every barrier batch commits as
-	// soon as the committer picks it up.
-	CommitLinger time.Duration
-	// CommitMaxBatch, when positive, ends the linger early once a batch
-	// holds that many barriers — a bound on the extra ack latency a
-	// session pays waiting for company. Already-queued batches are still
-	// folded in opportunistically, so one commit can acknowledge more
-	// than CommitMaxBatch barriers; the bound only stops the committer
-	// from waiting for further ones. Zero (the default) leaves batch
-	// growth to the linger alone.
-	CommitMaxBatch int
 	// CompactBytes triggers snapshot+truncate compaction of a shard when
 	// that shard's WAL tail grows past it (default 64 MiB; negative
 	// disables automatic compaction). Each shard compacts independently:
@@ -129,13 +114,6 @@ type Config struct {
 	// ExtentTargetRecords is the merged-extent size goal for the mmap
 	// backend (0 = backend default, 65536 records).
 	ExtentTargetRecords int
-	// ExtentWriteV1 makes the mmap backend seal fixed-width v1 extents
-	// instead of column-block v2 — a benchmarking/rollback knob; both
-	// formats are always readable.
-	ExtentWriteV1 bool
-	// NoFenceIndex disables the mmap backend's learned fence index
-	// over extent start times — a benchmarking knob.
-	NoFenceIndex bool
 	// RollupTiers is the rollup precision ladder: for each multiplier m
 	// (> 1) listed, WAL compaction re-encodes every sealed series at
 	// m× its base ε into a rollup tier, and bound-carrying queries may
@@ -167,11 +145,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CompactBytes == 0 {
 		c.CompactBytes = 64 << 20
-	}
-	if c.CommitLinger == 0 {
-		c.CommitLinger = 5 * time.Millisecond
-	} else if c.CommitLinger < 0 {
-		c.CommitLinger = 0
 	}
 	return c
 }
@@ -238,8 +211,6 @@ func New(db *tsdb.Archive, cfg Config) (*Server, error) {
 		mm, err := mmapstore.OpenWith(wal.ExtentDir(cfg.DataDir), mmapstore.Config{
 			CompactMinExtents: cfg.ExtentCompactMin,
 			TargetRecords:     cfg.ExtentTargetRecords,
-			WriteV1:           cfg.ExtentWriteV1,
-			NoFenceIndex:      cfg.NoFenceIndex,
 		}, cfg.Logf)
 		if err != nil {
 			return nil, fmt.Errorf("server: open extent store: %w", err)
@@ -291,7 +262,7 @@ func New(db *tsdb.Archive, cfg Config) (*Server, error) {
 		if s.store != nil {
 			wsh = s.store.Shard(i)
 		}
-		s.shards[i] = newShard(i, cfg.QueueDepth, cfg.CommitLinger, cfg.CommitMaxBatch, wsh, s.logf)
+		s.shards[i] = newShard(i, cfg.QueueDepth, wsh, s.logf)
 		go s.shards[i].run()
 	}
 	if s.store != nil && cfg.CompactBytes > 0 {

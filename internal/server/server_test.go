@@ -588,7 +588,7 @@ func TestAggregateNoData(t *testing.T) {
 // TestDropNewestSheds verifies the shed path deterministically against a
 // shard whose worker is not draining.
 func TestDropNewestSheds(t *testing.T) {
-	sh := newShard(0, 2, 5*time.Millisecond, 0, nil, nil) // worker intentionally not started
+	sh := newShard(0, 2, nil, nil) // worker intentionally not started
 	db := tsdb.New()
 	sr, _, err := db.GetOrCreate("s", []float64{1}, false)
 	if err != nil {
@@ -623,7 +623,7 @@ func (sh *shard) run2(t *testing.T) {
 // shard whose worker is not draining: the oldest queued segment goes, the
 // newest stays, and a queued barrier survives shedding.
 func TestDropOldestSheds(t *testing.T) {
-	sh := newShard(0, 2, 5*time.Millisecond, 0, nil, nil) // worker intentionally not started
+	sh := newShard(0, 2, nil, nil) // worker intentionally not started
 	db := tsdb.New()
 	sr, _, err := db.GetOrCreate("s", []float64{1}, false)
 	if err != nil {
@@ -668,7 +668,7 @@ func TestDropOldestSheds(t *testing.T) {
 // counted, and no barrier is ever shed however long the overload lasts.
 func TestDropOldestSustainedOverload(t *testing.T) {
 	const depth, total, nBarriers = 8, 64, 2
-	sh := newShard(0, depth, 5*time.Millisecond, 0, nil, nil) // worker intentionally not started
+	sh := newShard(0, depth, nil, nil) // worker intentionally not started
 	db := tsdb.New()
 	sr, _, err := db.GetOrCreate("s", []float64{1}, false)
 	if err != nil {
@@ -733,7 +733,7 @@ func TestGroupCommitBatchesBarriers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	sh := newShard(0, 64, 5*time.Millisecond, 0, st.Shard(0), nil) // worker not started: jobs pile up
+	sh := newShard(0, 64, st.Shard(0), nil) // worker not started: jobs pile up
 	sr, _, err := st.DB().GetOrCreate("g", []float64{1}, false)
 	if err != nil {
 		t.Fatal(err)

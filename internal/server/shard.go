@@ -89,12 +89,6 @@ type shard struct {
 	store    *wal.Shard        // nil for an in-memory server
 	logf     func(format string, args ...any)
 
-	// maxLinger caps the committer's adaptive group-commit linger and
-	// maxBatch (when positive) ends a linger early once that many
-	// barriers have gathered — both set once from the server Config.
-	maxLinger time.Duration
-	maxBatch  int
-
 	// pendingSeries tracks, per series this worker has applied
 	// provisional updates for, the provisional window last observed —
 	// the worker-owned state behind the lagPoints gauge. Keyed by
@@ -126,7 +120,7 @@ type shard struct {
 	enqWaits atomic.Int64 // of those, how many found the queue full
 }
 
-func newShard(id, depth int, maxLinger time.Duration, maxBatch int, store *wal.Shard, logf func(format string, args ...any)) *shard {
+func newShard(id, depth int, store *wal.Shard, logf func(format string, args ...any)) *shard {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -138,15 +132,9 @@ func newShard(id, depth int, maxLinger time.Duration, maxBatch int, store *wal.S
 		synced:        make(chan struct{}),
 		store:         store,
 		logf:          logf,
-		maxLinger:     maxLinger,
-		maxBatch:      maxBatch,
 		pendingSeries: make(map[string]int64),
 	}
 }
-
-// batchFull reports whether a barrier batch has reached the configured
-// CommitMaxBatch bound (0 = no bound).
-func (sh *shard) batchFull(n int) bool { return sh.maxBatch > 0 && n >= sh.maxBatch }
 
 // run drains the queue until the jobs channel is closed (server drain).
 // Barriers are not committed one by one: after each blocking receive the
@@ -188,13 +176,17 @@ func (sh *shard) run() {
 }
 
 // The committer lingers a small multiple of the observed commit cost
-// before syncing, capped by the shard's maxLinger (Config.CommitLinger):
-// batching effort scales with what a sync actually costs on this disk.
+// before syncing, capped at maxCommitLinger: batching effort scales with
+// what a sync actually costs on this disk.
 // On a journal where an fsync runs ~300µs the linger reaches a few ms
 // and folds a whole burst of session ends into one sync; on a fast
 // device (or the no-fsync interval policies, where commits are ~ns) it
 // rounds to nothing and barriers ack immediately.
 const commitLingerFactor = 8
+
+// maxCommitLinger caps the committer's adaptive linger, so a slow sync
+// delays an ack by at most this much on top of the sync itself.
+const maxCommitLinger = 5 * time.Millisecond
 
 // committer is the second pipeline stage: it turns batches of barriers
 // into wal commits. While one fsync runs, further batches pile up on
@@ -218,9 +210,8 @@ func (sh *shard) committer() {
 		// Linger only while other sessions on this shard could still
 		// join the batch: when every live session's barrier is already
 		// collected (in particular the last session of a drain-down),
-		// or the batch has hit its configured size bound, waiting can't
-		// usefully grow the batch, so sync now.
-		if linger > 0 && open && sh.active.Load() > int64(len(batch)) && !sh.batchFull(len(batch)) {
+		// waiting can't usefully grow the batch, so sync now.
+		if linger > 0 && open && sh.active.Load() > int64(len(batch)) {
 			timer := time.NewTimer(linger)
 		wait:
 			for {
@@ -231,7 +222,7 @@ func (sh *shard) committer() {
 						break wait
 					}
 					batch = append(batch, more...)
-					if sh.active.Load() <= int64(len(batch)) || sh.batchFull(len(batch)) {
+					if sh.active.Load() <= int64(len(batch)) {
 						break wait
 					}
 				case <-timer.C:
@@ -254,9 +245,7 @@ func (sh *shard) committer() {
 			}
 		}
 		took := sh.commit(batch)
-		if linger = (linger + commitLingerFactor*took) / 2; linger > sh.maxLinger {
-			linger = sh.maxLinger
-		}
+		linger = min((linger+commitLingerFactor*took)/2, maxCommitLinger)
 	}
 }
 
