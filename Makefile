@@ -2,7 +2,8 @@
 # pass": CI runs exactly `make verify`, so local runs and the gate
 # cannot drift. It mirrors the tier-1 command (go build && go test)
 # plus the formatting gate, and vets and tests the benchmark in bench/,
-# a module of its own that `./...` does not reach.
+# a module of its own that `./...` does not reach. Examples may import
+# only what an external module can: the facade, never internal/.
 
 GO ?= go
 
@@ -16,6 +17,8 @@ COVER_FLOORS = internal/core:95 internal/tsdb:83 internal/tsdb/mmapstore:85 inte
 .PHONY: verify fmt-check build test race bench-smoke cover-check alloc-check oracle-sweep docs-check
 
 verify: fmt-check
+	@bad=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}} {{join .TestImports " "}}' ./examples/... | grep 'github.com/pla-go/pla/internal/'); \
+	if [ -n "$$bad" ]; then echo "verify: examples import internal/ packages:"; echo "$$bad"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...

@@ -151,45 +151,3 @@ func TestFacadeConnectionGrid(t *testing.T) {
 			full.Stats().Recordings, noConn.Stats().Recordings)
 	}
 }
-
-func TestFacadeAdaptiveCoordinator(t *testing.T) {
-	names := []string{"flat", "noisy"}
-	c, err := pla.NewCoordinator(pla.AdaptiveConfig{
-		Budget:  2,
-		Streams: names,
-		Period:  50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	noisy := pla.RandomWalk(pla.WalkConfig{N: 500, P: 0.5, MaxDelta: 3, Seed: 9})
-	for j := 0; j < 500; j++ {
-		if err := c.Push("flat", pla.Point{T: float64(j), X: []float64{1}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Push("noisy", noisy[j]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	per, err := c.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := pla.NewSumModel(2, per)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < 500; j++ {
-		got, ok := sum.At(float64(j))
-		if !ok {
-			t.Fatalf("t=%d uncovered", j)
-		}
-		want := 1 + noisy[j].X[0]
-		if d := got - want; d > 2.0001 || d < -2.0001 {
-			t.Fatalf("t=%d: sum error %v exceeds budget", j, d)
-		}
-	}
-	if w := c.Widths(); w["noisy"] <= w["flat"] {
-		t.Fatalf("budget did not favour the noisy stream: %v", w)
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"net"
 
 	pla "github.com/pla-go/pla"
+	"github.com/pla-go/pla/internal/server"
 )
 
 // The canonical flow: compress a stream with the slide filter, rebuild it
@@ -108,8 +109,8 @@ func ExampleWithSwingMaxLag() {
 // exampleServer runs an in-process server over db on a loopback
 // listener, returning its dial address. The examples below each speak
 // one protocol feature against it.
-func exampleServer(db *pla.Archive) (*pla.Server, string) {
-	s, err := pla.NewServer(db, pla.ServerConfig{Shards: 1})
+func exampleServer(db *pla.Archive) (*server.Server, string) {
+	s, err := server.New(db, server.Config{Shards: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -116,6 +116,7 @@ func main() {
 	if err := arch.SaveFile(path); err != nil {
 		log.Fatal(err)
 	}
+	defer os.Remove(path)
 	info, _ := os.Stat(path)
 	fmt.Printf("archived to %s (%d bytes vs %d raw)\n", path, info.Size(), pla.RawSize(len(signal), 1))
 

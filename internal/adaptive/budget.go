@@ -1,18 +1,27 @@
+// Package adaptive holds the Budgeter, which spreads a server-wide byte
+// budget across ingest sessions by widening their precision widths, in
+// the manner of Olston, Jiang and Widom ("Adaptive filters for
+// continuous queries over distributed data streams", SIGMOD 2003 — the
+// paper's reference [21]).
 package adaptive
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
-// Budgeter is the server-side counterpart of the Coordinator: instead of
-// splitting a precision budget across filters it owns, it supervises the
-// *byte rate* of ingest sessions it can only advise, and answers "how
-// much should each session's ε widen right now?". The same
-// Olston-style burden-proportional redistribution applies, inverted:
-// when the observed total rate exceeds the budget, sessions are assigned
-// widening scales (≥ 1, applied to their handshake contract) that grow
-// proportionally to each session's share of the traffic — the heavy
-// streams, whose recording rate a wider ε actually cuts, absorb most of
-// the degradation — and when the total falls back under budget every
-// scale decays geometrically toward 1, restoring the contract precision.
+// ErrConfig reports an invalid configuration.
+var ErrConfig = errors.New("adaptive: invalid configuration")
+
+// Budgeter supervises the *byte rate* of ingest sessions it can only
+// advise, and answers "how much should each session's ε widen right
+// now?". Redistribution is burden-proportional: when the observed total
+// rate exceeds the budget, sessions are assigned widening scales (≥ 1,
+// applied to their handshake contract) that grow proportionally to each
+// session's share of the traffic — the heavy streams, whose recording
+// rate a wider ε actually cuts, absorb most of the degradation — and
+// when the total falls back under budget every scale decays
+// geometrically toward 1, restoring the contract precision.
 //
 // Scales are clamped to [1, MaxScale]: a budgeter never tightens a
 // session below its negotiated contract, and never widens without bound
@@ -25,8 +34,8 @@ type Budgeter struct {
 	scales map[string]float64
 }
 
-// budgeterDefaults mirror the Coordinator: a quarter of the gap is
-// closed per tick, and widening is capped at 16× the contract.
+// A quarter of the gap is closed per tick, and widening is capped at
+// 16× the contract.
 const (
 	budgeterDelta    = 0.25
 	budgeterMaxScale = 16

@@ -25,7 +25,9 @@
 // receiver-side model; Encode/Decode move recordings over a compact wire
 // format. The commands (cmd/plagen generates signals, cmd/plafilter
 // compresses them, cmd/plabench regenerates the paper's figures) and the
-// examples directory exercise the same filters.
+// examples directory exercise the same filters. The network server is
+// the plad binary (cmd/plad); this package ships its clients,
+// DialServer and DialQuery.
 //
 // Quick start:
 //

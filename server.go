@@ -1,30 +1,12 @@
 package pla
 
-import (
-	"github.com/pla-go/pla/internal/server"
-	"github.com/pla-go/pla/internal/wal"
-)
+import "github.com/pla-go/pla/internal/server"
 
-// Network ingestion (the plad server) re-exported for external
-// consumers: a Server collects many concurrent ε-filtered client
-// streams into one Archive and answers queries with ±ε bands.
+// Clients of the plad server, re-exported for external modules, which
+// cannot import internal/: an ingest session streams ε-filtered
+// segments into plad's archive, and a query session reads it back with
+// ±ε bands.
 type (
-	// Server is the plad ingestion/query server. Create with NewServer,
-	// run with Serve/ListenAndServe, stop with Shutdown.
-	Server = server.Server
-	// ServerConfig parameterises a Server (shards, queue depth,
-	// overload policy).
-	ServerConfig = server.Config
-	// ServerMetrics is a snapshot of a server's counters.
-	ServerMetrics = server.Metrics
-	// ShardMetrics is one ingest worker's counters.
-	ShardMetrics = server.ShardMetrics
-	// DropPolicy selects backpressure or shedding when a shard queue
-	// is full.
-	DropPolicy = server.DropPolicy
-	// SyncPolicy selects when the write-ahead log reaches stable
-	// storage (ServerConfig.Sync, with ServerConfig.DataDir).
-	SyncPolicy = wal.SyncPolicy
 	// IngestClient is the sensor side of an ingest session.
 	IngestClient = server.Client
 	// QueryClient speaks the line-oriented query protocol.
@@ -42,42 +24,14 @@ type (
 	LagInfo = server.LagInfo
 )
 
-// Overload policies.
-const (
-	// Block applies backpressure to the client stream.
-	Block = server.Block
-	// DropNewest sheds the incoming segment and counts it.
-	DropNewest = server.DropNewest
-	// DropOldest sheds the oldest queued segment, keeping the newest.
-	DropOldest = server.DropOldest
-)
-
-// WAL sync policies for durable servers (ServerConfig.DataDir).
-const (
-	// SyncInterval fsyncs on a background cadence (the default).
-	SyncInterval = wal.SyncInterval
-	// SyncAlways fsyncs before acknowledging a session's stream end.
-	SyncAlways = wal.SyncAlways
-	// SyncOff leaves syncing to the operating system.
-	SyncOff = wal.SyncOff
-)
-
-// Errors surfaced by the server and its clients.
+// Errors surfaced by the clients.
 var (
-	// ErrServerClosed reports an operation on a shut-down server.
-	ErrServerClosed = server.ErrClosed
 	// ErrNoData reports a query range with no coverage.
 	ErrNoData = server.ErrNoData
 	// ErrRejected wraps a server-side rejection (bad handshake,
 	// contract mismatch, unknown series).
 	ErrRejected = server.ErrRejected
 )
-
-// NewServer returns a running ingestion server storing into db. With
-// cfg.DataDir set the server is durable: prior state is recovered into
-// db (which must be empty) before serving, every segment is written
-// ahead to a checksummed log, and Shutdown leaves a clean snapshot.
-func NewServer(db *Archive, cfg ServerConfig) (*Server, error) { return server.New(db, cfg) }
 
 // DialServer opens an ingest session for the named series, streaming
 // through filter f; only finalized segments cross the wire — plus, for

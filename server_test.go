@@ -1,7 +1,8 @@
 package pla_test
 
-// Exercises the network server through the public facade only — this
-// package cannot import internal/, so it compiles exactly like an
+// Exercises the network server through the facade's clients. The
+// server is built from internal/server, as plad builds it; every client
+// call goes through pla.DialServer and pla.DialQuery, exactly like an
 // external consumer following the README.
 
 import (
@@ -13,10 +14,12 @@ import (
 	"time"
 
 	pla "github.com/pla-go/pla"
+	"github.com/pla-go/pla/internal/server"
+	"github.com/pla-go/pla/internal/wal"
 )
 
 func TestPublicServerRoundTrip(t *testing.T) {
-	srv, err := pla.NewServer(pla.NewArchive(), pla.ServerConfig{Shards: 2, Policy: pla.Block})
+	srv, err := server.New(pla.NewArchive(), server.Config{Shards: 2, Policy: server.Block})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +81,8 @@ func TestPublicServerRoundTrip(t *testing.T) {
 // from its data directory.
 func TestPublicServerDurability(t *testing.T) {
 	dir := t.TempDir()
-	cfg := pla.ServerConfig{Shards: 2, DataDir: dir, Sync: pla.SyncAlways}
-	srv, err := pla.NewServer(pla.NewArchive(), cfg)
+	cfg := server.Config{Shards: 2, DataDir: dir, Sync: wal.SyncAlways}
+	srv, err := server.New(pla.NewArchive(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +117,7 @@ func TestPublicServerDurability(t *testing.T) {
 	}
 
 	db := pla.NewArchive()
-	srv2, err := pla.NewServer(db, cfg)
+	srv2, err := server.New(db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
