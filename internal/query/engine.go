@@ -80,45 +80,32 @@ func (e *Engine) record(stats tsdb.PushdownStats) {
 	e.walkedSegments.Add(int64(stats.WalkedSegments))
 }
 
+// Answer is what every pushdown answer carries besides its value: the
+// bound ledger of the data that answered (joined over every queried
+// series), the worst staleness among them, how many contributed data,
+// and how their ranges were covered.
+type Answer struct {
+	Bound
+	Stale  int
+	Series int
+	Stats  tsdb.PushdownStats
+}
+
 // AggResult is one answered aggregate query.
 type AggResult struct {
+	Answer
 	// Agg holds the exact closed-form statistics of the canonical
-	// reconstruction over the range (joined over every queried series).
+	// reconstruction over the range (joined over every queried series);
+	// Bound.Agg turns it into a reply value and band.
 	Agg sketch.Agg
-	// Epsilon is the reconstruction's precision: the max filter ε of
-	// the contributing series in the queried dimension.
-	Epsilon float64
-	// Stale is the worst staleness among the contributing series.
-	Stale int
-	// Series is how many series contributed data.
-	Series int
-	// Stats reports how the ranges were covered.
-	Stats tsdb.PushdownStats
-	// Tier is the rollup multiplier of the coarsest tier that served a
-	// contributing series (0 = every series answered from base data).
-	Tier int
-	// CountSlack and ValueSlack are the tier-edge uncertainties the
-	// reply's band composition must absorb (see tierSlack); zero for
-	// base-served answers.
-	CountSlack int
-	ValueSlack float64
 }
 
 // QuantilesResult is one answered quantile query.
 type QuantilesResult struct {
+	Answer
 	// Quantiles holds one answer per requested q, each with a band the
-	// true quantile is guaranteed inside.
+	// true quantile is guaranteed inside (Bound.Quantiles composed it).
 	Quantiles []sketch.Quantile
-	// Epsilon, Stale, Series, Stats, Tier, CountSlack and ValueSlack are
-	// as in AggResult. The slacks are already folded into each
-	// quantile's [Lo, Hi] band.
-	Epsilon    float64
-	Stale      int
-	Series     int
-	Stats      tsdb.PushdownStats
-	Tier       int
-	CountSlack int
-	ValueSlack float64
 }
 
 // Aggregate answers min/max/sum/count/avg over [t0, t1] in dimension
@@ -130,59 +117,32 @@ func (e *Engine) Aggregate(name string, dim int, t0, t1 float64) (AggResult, err
 	return e.AggregateBound(name, dim, t0, t1, 0)
 }
 
-// aggPart is one series' contribution to a bound-aware aggregate.
-type aggPart struct {
-	ans        tsdb.AggAnswer
-	tier       int
-	countSlack int
-	valueSlack float64
-}
-
 // AggregateBound is Aggregate with an acceptable error bound: each
 // queried series may be answered from the coarsest rollup tier whose
 // precision fits inside bound and whose coverage spans the range (see
-// TierFor), reading far fewer segments. The result's Epsilon is the
-// bound of the data that actually answered — the tier's ε for
-// tier-served series — and its slack fields carry the extra band width
-// tier edges require. bound ≤ 0 asks for base precision.
+// TierFor), reading far fewer segments. The result's Bound is that of
+// the data that actually answered. bound ≤ 0 asks for base precision.
 func (e *Engine) AggregateBound(name string, dim int, t0, t1, bound float64) (AggResult, error) {
 	e.aggQueries.Add(1)
-	res := AggResult{}
-	err := e.fanout(name,
-		func(sr *tsdb.Series) (any, tsdb.PushdownStats, error) {
+	var agg sketch.Agg
+	ans, err := fanout(e, name,
+		func(sr *tsdb.Series) (sketch.Agg, Bound, tsdb.PushdownStats, error) {
 			target, mult := e.TierFor(sr, dim, t0, t1, bound)
-			ans, err := target.RangeAgg(dim, t0, t1)
-			p := aggPart{ans: ans, tier: mult}
-			if mult > 0 {
-				p.countSlack, p.valueSlack = tierSlack(target, dim, t0, t1)
-				// A tier re-encodes data that may already have been
-				// degraded past the base contract; carry the base's
-				// effective-ε inflation into the tier-served bound too.
-				p.ans.Epsilon += sr.EffExtra(dim)
+			a, err := target.RangeAgg(dim, t0, t1)
+			if err != nil {
+				return sketch.Agg{}, Bound{}, a.Stats, err
 			}
-			return p, ans.Stats, err
+			// a.Epsilon was read under the series lock with the data.
+			return a.Agg, planBound(sr, target, mult, dim, t0, t1, a.Epsilon), a.Stats, nil
 		},
-		func(sr *tsdb.Series, v any) {
-			p := v.(aggPart)
-			res.Agg.Join(p.ans.Agg)
-			res.Epsilon = math.Max(res.Epsilon, p.ans.Epsilon)
-			if p.tier > res.Tier {
-				res.Tier = p.tier
-			}
-			res.CountSlack += p.countSlack
-			res.ValueSlack = math.Max(res.ValueSlack, p.valueSlack)
-			if st := sr.Staleness(); st > res.Stale {
-				res.Stale = st
-			}
-			res.Series++
-		}, &res.Stats)
+		func(a sketch.Agg) { agg.Join(a) })
 	if err != nil {
 		return AggResult{}, err
 	}
-	if res.Series == 0 {
+	if ans.Series == 0 {
 		return AggResult{}, fmt.Errorf("%w in [%v, %v]", tsdb.ErrNoData, t0, t1)
 	}
-	return res, nil
+	return AggResult{Answer: ans, Agg: agg}, nil
 }
 
 // Quantiles answers the given quantiles over [t0, t1] in dimension dim
@@ -194,21 +154,10 @@ func (e *Engine) Quantiles(name string, dim int, t0, t1 float64, qs []float64) (
 	return e.QuantilesBound(name, dim, t0, t1, qs, 0)
 }
 
-// quantilePart is one series' contribution to a bound-aware quantile
-// query.
-type quantilePart struct {
-	sum        *sketch.Summary
-	eps        float64
-	countSlack int
-	valueSlack float64
-	tier       int
-}
-
 // QuantilesBound is Quantiles with an acceptable error bound, with the
 // same tier selection as AggregateBound. Rank uncertainty from
-// partially covered coarse segments is folded into each answer's band:
-// the band is the union over q ∓ countSlack/N, widened by the value
-// slack. bound ≤ 0 asks for base precision.
+// partially covered coarse segments is folded into each answer's band
+// (see Bound.Quantiles). bound ≤ 0 asks for base precision.
 func (e *Engine) QuantilesBound(name string, dim int, t0, t1 float64, qs []float64, bound float64) (QuantilesResult, error) {
 	e.quantileQueries.Add(1)
 	for _, q := range qs {
@@ -216,55 +165,39 @@ func (e *Engine) QuantilesBound(name string, dim int, t0, t1 float64, qs []float
 			return QuantilesResult{}, fmt.Errorf("query: quantile %v outside [0, 1]", q)
 		}
 	}
-	res := QuantilesResult{}
 	merged := &sketch.Summary{}
-	err := e.fanout(name,
-		func(sr *tsdb.Series) (any, tsdb.PushdownStats, error) {
+	ans, err := fanout(e, name,
+		func(sr *tsdb.Series) (*sketch.Summary, Bound, tsdb.PushdownStats, error) {
 			target, mult := e.TierFor(sr, dim, t0, t1, bound)
 			sum, stats, err := target.RangeSummary(dim, t0, t1)
-			p := quantilePart{sum: sum, eps: target.QueryEpsilon()[dim], tier: mult}
-			if mult > 0 {
-				p.countSlack, p.valueSlack = tierSlack(target, dim, t0, t1)
-				p.eps += sr.EffExtra(dim)
+			if err != nil {
+				return nil, Bound{}, stats, err
 			}
-			return p, stats, err
+			// Read ε after the summary it bounds: effective ε only grows.
+			return sum, planBound(sr, target, mult, dim, t0, t1, target.QueryEpsilon()[dim]), stats, nil
 		},
-		func(sr *tsdb.Series, v any) {
-			p := v.(quantilePart)
-			merged = sketch.Merge(merged, p.sum)
-			res.Epsilon = math.Max(res.Epsilon, p.eps)
-			if p.tier > res.Tier {
-				res.Tier = p.tier
-			}
-			res.CountSlack += p.countSlack
-			res.ValueSlack = math.Max(res.ValueSlack, p.valueSlack)
-			if st := sr.Staleness(); st > res.Stale {
-				res.Stale = st
-			}
-			res.Series++
-		}, &res.Stats)
+		func(sum *sketch.Summary) { merged = sketch.Merge(merged, sum) })
 	if err != nil {
 		return QuantilesResult{}, err
 	}
-	if res.Series == 0 || merged.N() == 0 {
+	if ans.Series == 0 || merged.N() == 0 {
 		return QuantilesResult{}, fmt.Errorf("%w in [%v, %v]", tsdb.ErrNoData, t0, t1)
 	}
-	res.Quantiles = answerTierQuantiles(merged, res.Epsilon, qs, res.CountSlack, res.ValueSlack)
-	return res, nil
+	return QuantilesResult{Answer: ans, Quantiles: ans.Bound.Quantiles(merged, qs)}, nil
 }
 
 // fanout plans the query: resolve the queried series, run compute on
 // each — concurrently for All, since every series' pushdown takes only
-// its own lock — then merge the partial answers strictly in sorted-name
-// order so the reply bytes never depend on goroutine interleaving. A
-// series with no data in range contributes nothing; any other error
-// aborts the query.
-func (e *Engine) fanout(name string,
-	compute func(*tsdb.Series) (any, tsdb.PushdownStats, error),
-	merge func(*tsdb.Series, any), stats *tsdb.PushdownStats) error {
+// its own lock — then fold the partial values and Merge their bounds
+// strictly in sorted-name order so the reply bytes never depend on
+// goroutine interleaving. A series with no data in range contributes
+// nothing; any other error aborts the query.
+func fanout[V any](e *Engine, name string,
+	compute func(*tsdb.Series) (V, Bound, tsdb.PushdownStats, error), fold func(V)) (Answer, error) {
 	type part struct {
 		sr  *tsdb.Series
-		val any
+		val V
+		b   Bound
 		st  tsdb.PushdownStats
 		err error
 	}
@@ -272,10 +205,10 @@ func (e *Engine) fanout(name string,
 	if name != All {
 		sr, err := e.db.Get(name)
 		if err != nil {
-			return err
+			return Answer{}, err
 		}
 		parts = []part{{sr: sr}}
-		parts[0].val, parts[0].st, parts[0].err = compute(sr)
+		parts[0].val, parts[0].b, parts[0].st, parts[0].err = compute(sr)
 	} else {
 		names := e.db.Names() // sorted
 		parts = make([]part, 0, len(names))
@@ -289,22 +222,26 @@ func (e *Engine) fanout(name string,
 			wg.Add(1)
 			go func(p *part) {
 				defer wg.Done()
-				p.val, p.st, p.err = compute(p.sr)
+				p.val, p.b, p.st, p.err = compute(p.sr)
 			}(&parts[i])
 		}
 		wg.Wait()
 	}
+	var ans Answer
 	for i := range parts {
 		p := &parts[i]
-		stats.Add(p.st)
+		ans.Stats.Add(p.st)
 		e.record(p.st)
 		if p.err != nil {
 			if name == All && errors.Is(p.err, tsdb.ErrNoData) {
 				continue
 			}
-			return p.err
+			return Answer{}, p.err
 		}
-		merge(p.sr, p.val)
+		fold(p.val)
+		ans.Bound = ans.Bound.Merge(p.b)
+		ans.Stale = max(ans.Stale, p.sr.Staleness())
+		ans.Series++
 	}
-	return nil
+	return ans, nil
 }

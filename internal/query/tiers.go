@@ -13,7 +13,6 @@ package query
 import (
 	"math"
 
-	"github.com/pla-go/pla/internal/sketch"
 	"github.com/pla-go/pla/internal/tsdb"
 )
 
@@ -74,6 +73,20 @@ func epsWithin(eps []float64, dim int, bound float64) bool {
 	return true
 }
 
+// planBound is the bound of one series' answer: eps is the precision
+// of the data that answered, read after that data. A tier re-encodes
+// data that may already have been degraded past the base contract, so
+// a tier-served bound carries the base's effective-ε inflation too,
+// plus the tier's edge slack.
+func planBound(sr, target *tsdb.Series, mult, dim int, t0, t1, eps float64) Bound {
+	b := Bound{Epsilon: eps, Tier: mult}
+	if mult > 0 {
+		b.CountSlack, b.ValueSlack = tierSlack(target, dim, t0, t1)
+		b.Epsilon += sr.EffExtra(dim)
+	}
+	return b
+}
+
 // tierSlack measures the honest extra uncertainty of answering [t0, t1]
 // from a tier: the at-most-two coarse segments only partially inside
 // the range. A coarse segment's canonical sample grid redistributes its
@@ -99,27 +112,4 @@ func tierSlack(tier *tsdb.Series, dim int, t0, t1 float64) (count int, value flo
 		}
 	}
 	return count, value
-}
-
-// answerTierQuantiles widens quantile answers for a tier-served query:
-// besides the filter-ε widening every answer gets, the rank can shift
-// by the count slack (the summary's N includes partially covered coarse
-// segments' full weight), so each band is the union of the bands at
-// q ∓ countSlack/N, further widened by the value slack. With zero slack
-// it reduces exactly to the base-path answer.
-func answerTierQuantiles(merged *sketch.Summary, eps float64, qs []float64, countSlack int, valueSlack float64) []sketch.Quantile {
-	if countSlack == 0 && valueSlack == 0 {
-		return tsdb.AnswerQuantiles(merged, eps, qs)
-	}
-	shift := float64(countSlack) / float64(merged.N())
-	out := make([]sketch.Quantile, len(qs))
-	for i, q := range qs {
-		ans := merged.Query(q)
-		lo := merged.Query(math.Max(q-shift, 0))
-		hi := merged.Query(math.Min(q+shift, 1))
-		ans.Lo = math.Min(ans.Lo, lo.Lo) - eps - valueSlack
-		ans.Hi = math.Max(ans.Hi, hi.Hi) + eps + valueSlack
-		out[i] = ans
-	}
-	return out
 }

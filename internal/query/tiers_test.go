@@ -7,6 +7,7 @@ import (
 
 	"github.com/pla-go/pla/internal/core"
 	"github.com/pla-go/pla/internal/gen"
+	"github.com/pla-go/pla/internal/sketch"
 	"github.com/pla-go/pla/internal/tsdb"
 )
 
@@ -174,9 +175,9 @@ func TestTierSlack(t *testing.T) {
 	}
 }
 
-// TestAnswerTierQuantiles checks the band widening against the base
-// path: zero slack reduces to AnswerQuantiles exactly, and any slack
-// only ever widens — the widened band must contain the unwidened one.
+// TestAnswerTierQuantiles checks the ledger's bands: zero slack is the
+// sketch band ±ε exactly, any slack only ever widens it, and each AGG
+// op's band is pinned with and without edge slack (count included).
 func TestAnswerTierQuantiles(t *testing.T) {
 	_, sr, _ := tierWalk(t, 3000)
 	merged, _, err := sr.RangeSummary(0, math.Inf(-1), math.Inf(1))
@@ -184,18 +185,42 @@ func TestAnswerTierQuantiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := []float64{0, 0.25, 0.5, 0.9, 1}
-	base := tsdb.AnswerQuantiles(merged, 1, qs)
-	same := answerTierQuantiles(merged, 1, qs, 0, 0)
-	for i := range qs {
-		if same[i] != base[i] {
-			t.Fatalf("q=%v: zero slack diverged: %+v vs %+v", qs[i], same[i], base[i])
+	same := Bound{Epsilon: 1}.Quantiles(merged, qs)
+	for i, q := range qs {
+		base := merged.Query(q)
+		base.Lo, base.Hi = base.Lo-1, base.Hi+1
+		if same[i] != base {
+			t.Fatalf("q=%v: zero slack diverged from the base band: %+v vs %+v", q, same[i], base)
 		}
 	}
-	wide := answerTierQuantiles(merged, 1, qs, 50, 0.75)
+	wide := Bound{Epsilon: 1, CountSlack: 50, ValueSlack: 0.75}.Quantiles(merged, qs)
 	for i := range qs {
-		if wide[i].Lo > base[i].Lo-0.75 || wide[i].Hi < base[i].Hi+0.75 {
+		if wide[i].Lo > same[i].Lo-0.75 || wide[i].Hi < same[i].Hi+0.75 {
 			t.Fatalf("q=%v: slack band [%v, %v] does not contain widened base [%v, %v]",
-				qs[i], wide[i].Lo, wide[i].Hi, base[i].Lo-0.75, base[i].Hi+0.75)
+				qs[i], wide[i].Lo, wide[i].Hi, same[i].Lo-0.75, same[i].Hi+0.75)
+		}
+	}
+
+	a := sketch.Agg{Min: -2, Max: 6, Sum: 20, Count: 10, Segments: 3}
+	base, edged := Bound{Epsilon: 0.5}, Bound{Epsilon: 0.5, CountSlack: 5, ValueSlack: 0.25}
+	for _, c := range []struct {
+		op        string
+		b         Bound
+		val, band float64
+	}{
+		{"min", base, -2, 0.5},
+		{"max", base, 6, 0.5},
+		{"avg", base, 2, 0.5},
+		{"sum", base, 20, 5},
+		{"count", base, 10, 0},
+		{"min", edged, -2, 0.75},
+		{"max", edged, 6, 0.75},
+		{"avg", edged, 2, 0.75 + 5.0/10*((6+2)/2+0.75)},
+		{"sum", edged, 20, 5 + 5*(6+0.75)},
+		{"count", edged, 10, 5},
+	} {
+		if val, band := c.b.Agg(c.op, a); val != c.val || band != c.band {
+			t.Errorf("%+v.Agg(%s) = (%v, ±%v), want (%v, ±%v)", c.b, c.op, val, band, c.val, c.band)
 		}
 	}
 }
@@ -272,6 +297,35 @@ func TestBoundAwareAnswers(t *testing.T) {
 			qb2.Quantiles[i].Hi < qb.Quantiles[i].Hi+0.5-1e-12 {
 			t.Fatalf("q=%v: inflated band [%v, %v] narrower than pre-inflation [%v, %v] + 0.5",
 				qs[i], qb2.Quantiles[i].Lo, qb2.Quantiles[i].Hi, qb.Quantiles[i].Lo, qb.Quantiles[i].Hi)
+		}
+	}
+
+	// A * answer's bound is the Merge of its series' bounds: add a
+	// second, uninflated tiered series and fold by hand.
+	f, err := core.NewSwing([]float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Ingest("v", f, gen.RandomWalk(gen.WalkConfig{N: 6000, P: 0.5, MaxDelta: 1.5, Seed: 10})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Rollup("v"); err != nil {
+		t.Fatal(err)
+	}
+	for _, bound := range []float64{0, 5, 100} {
+		var aggFold, qFold Bound
+		for _, name := range []string{"v", "w", All} {
+			a, aerr := e.AggregateBound(name, 0, t0, t1, bound)
+			q, qerr := e.QuantilesBound(name, 0, t0, t1, qs, bound)
+			if aerr != nil || qerr != nil {
+				t.Fatal(aerr, qerr)
+			}
+			if name == All && (a.Series != 2 || a.Bound != aggFold || q.Bound != qFold ||
+				bound == 100 && (a.Epsilon != 16.5 || a.CountSlack == 0)) {
+				t.Fatalf("bound %v: * bounds %+v / %+v over %d series, want the folds %+v / %+v",
+					bound, a.Bound, q.Bound, a.Series, aggFold, qFold)
+			}
+			aggFold, qFold = aggFold.Merge(a.Bound), qFold.Merge(q.Bound)
 		}
 	}
 }

@@ -351,7 +351,7 @@ func (q *QueryClient) aggregate(op, series string, dim int, t0, t1 float64) (Agg
 
 // AggValue is one AGG answer: a segment-native pushdown statistic with
 // its composed precision bound (±Bound contains the statistic of the
-// original samples; 0 for count, which is exact) and the coverage
+// original samples; see query.Bound for its terms) and the coverage
 // accounting that proves the pushdown — Windows summary blocks answered
 // wholesale, Segments contributing segments, never a per-point fold.
 type AggValue struct {

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/pla-go/pla/internal/query"
 	"github.com/pla-go/pla/internal/tsdb"
 )
 
@@ -42,12 +41,11 @@ import (
 // plus closed-form edge segments — O(windows + edge segments), never
 // O(points) — and accept "*" as the series to fold every series into
 // one answer. AGG's op is min, max, avg, sum or count; the reply's
-// bound field is the op's composed precision (±ε for min/max/avg,
-// ±ε·count for sum, 0 for count), windows is how many summary blocks
-// covered the range, and count is the number of original samples. Each
-// QUANTILE row's [lo, hi] band is guaranteed to contain the true
-// quantile of the original samples — rank uncertainty, sketch slack,
-// and the ingest filter's ±ε are all composed in.
+// bound field is the op's composed precision, windows is how many
+// summary blocks covered the range, and count is the number of
+// original samples. Each QUANTILE row's [lo, hi] band is guaranteed to
+// contain the true quantile of the original samples. query.Bound
+// composes both; this file only prints them.
 //
 // The optional trailing BOUND argument on SCAN, AGG and QUANTILE
 // declares the caller's acceptable per-sample error bound. When the
@@ -223,7 +221,7 @@ func (s *Server) query(w *bufio.Writer, cmd string, args []string) {
 			}
 			return
 		}
-		val, bound := aggValue(res, op)
+		val, bound := res.Bound.Agg(op, res.Agg)
 		fmt.Fprintf(w, "OK %s %s %d %d %d %d\n",
 			floatWord(val), floatWord(bound), int64(res.Agg.Count), res.Agg.Segments,
 			res.Stats.CachedWindows+res.Stats.BuiltWindows, res.Stale)
@@ -341,39 +339,6 @@ func stripBound(args []string) (rest []string, bound float64, err error) {
 		return nil, 0, fmt.Errorf("bad bound %q", args[n-1])
 	}
 	return args[:n-2], bound, nil
-}
-
-// aggValue extracts the requested statistic from a pushdown answer,
-// along with its composed precision bound: min/max/avg carry the
-// contributing series' worst per-sample ±ε, sum scales it by the sample
-// count, and count is exact. A tier-served answer additionally absorbs
-// the tier-edge slacks: partially covered coarse segments can shift up
-// to CountSlack canonical samples across the range boundary (each worth
-// at most the observed value range plus the precision width) and drift
-// clipped chord endpoints by up to ValueSlack.
-func aggValue(res query.AggResult, op string) (val, bound float64) {
-	a := res.Agg
-	cs, vs := float64(res.CountSlack), res.ValueSlack
-	switch op {
-	case "min":
-		return a.Min, res.Epsilon + vs
-	case "max":
-		return a.Max, res.Epsilon + vs
-	case "avg":
-		bound = res.Epsilon + vs
-		if cs > 0 && a.Count > 0 {
-			bound += cs / a.Count * ((a.Max-a.Min)/2 + res.Epsilon + vs)
-		}
-		return a.Mean(), bound
-	case "sum":
-		bound = res.Epsilon * a.Count
-		if cs > 0 {
-			bound += cs * (math.Max(math.Abs(a.Min), math.Abs(a.Max)) + res.Epsilon + vs)
-		}
-		return a.Sum, bound
-	default: // count
-		return a.Count, cs
-	}
 }
 
 func floatWord(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

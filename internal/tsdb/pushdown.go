@@ -99,7 +99,7 @@ func (s *Series) RangeAgg(dim int, t0, t1 float64) (AggAnswer, error) {
 // where whole windows fit, freshly folded segment samples everywhere
 // else. The summary's own Eps/Slack cover the sketch-side error; the
 // caller still adds the series' filter ε when turning ranks into
-// value guarantees (AnswerQuantiles does both).
+// value guarantees (query.Bound.Quantiles does both).
 func (s *Series) RangeSummary(dim int, t0, t1 float64) (*sketch.Summary, PushdownStats, error) {
 	if err := s.checkQuery(dim, t0, t1); err != nil {
 		return nil, PushdownStats{}, err
@@ -128,33 +128,6 @@ func (s *Series) RangeSummary(dim int, t0, t1 float64) (*sketch.Summary, Pushdow
 		return nil, stats, fmt.Errorf("%w in [%v, %v]", ErrNoData, t0, t1)
 	}
 	return merged, stats, nil
-}
-
-// AnswerQuantiles evaluates qs against a merged range summary, widening
-// each band by the filter precision eps so it composes every error
-// source: rank uncertainty, chord-quantization slack, and the ±ε the
-// ingest filter was allowed in the first place.
-func AnswerQuantiles(merged *sketch.Summary, eps float64, qs []float64) []sketch.Quantile {
-	out := make([]sketch.Quantile, len(qs))
-	for i, q := range qs {
-		ans := merged.Query(q)
-		ans.Lo -= eps
-		ans.Hi += eps
-		out[i] = ans
-	}
-	return out
-}
-
-// RangeQuantiles answers the given quantiles (each in [0, 1]) of the
-// reconstruction's samples in dimension dim over [t0, t1]. Each
-// answer's [Lo, Hi] band is guaranteed to contain the true quantile of
-// the original samples.
-func (s *Series) RangeQuantiles(dim int, t0, t1 float64, qs []float64) ([]sketch.Quantile, PushdownStats, error) {
-	merged, stats, err := s.RangeSummary(dim, t0, t1)
-	if err != nil {
-		return nil, stats, err
-	}
-	return AnswerQuantiles(merged, s.eps[dim], qs), stats, nil
 }
 
 // decompose walks the query range as window blocks plus individual

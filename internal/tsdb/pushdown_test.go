@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -106,48 +107,6 @@ func TestRangeAggMatchesFold(t *testing.T) {
 	}
 }
 
-func TestRangeQuantilesBandContainsTruth(t *testing.T) {
-	a := New()
-	s := buildSeries(t, a, "walk", 2*sketch.WindowSize+51, 2)
-	_, end, _ := s.Span()
-	rng := rand.New(rand.NewSource(17))
-	qs := []float64{0, 0.1, 0.5, 0.9, 0.99, 1}
-	for trial := 0; trial < 30; trial++ {
-		t0 := rng.Float64() * end / 2
-		t1 := t0 + rng.Float64()*(end-t0)
-		ans, _, err := s.RangeQuantiles(0, t0, t1, qs)
-		_, vals := foldReference(s, 0, t0, t1)
-		if len(vals) == 0 {
-			if !errors.Is(err, ErrNoData) {
-				t.Fatalf("trial %d: expected ErrNoData, got %v", trial, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		sorted := append([]float64(nil), vals...)
-		for i := range sorted {
-			for j := i + 1; j < len(sorted); j++ {
-				if sorted[j] < sorted[i] {
-					sorted[i], sorted[j] = sorted[j], sorted[i]
-				}
-			}
-		}
-		for i, q := range qs {
-			idx := int(q*float64(len(sorted))) - 1
-			if idx < 0 {
-				idx = 0
-			}
-			truth := sorted[idx]
-			if !(ans[i].Lo <= truth && truth <= ans[i].Hi) {
-				t.Fatalf("trial %d q=%v: truth %v outside [%v, %v]",
-					trial, q, truth, ans[i].Lo, ans[i].Hi)
-			}
-		}
-	}
-}
-
 // TestPushdownIgnoresCacheState proves the central determinism claim:
 // answers are identical whether windows come from the memo, from a
 // store Summarizer, or are rebuilt — here by comparing a cold series
@@ -171,15 +130,13 @@ func TestPushdownIgnoresCacheState(t *testing.T) {
 		if (ea == nil) != (eb == nil) || (ea == nil && ga.Agg != gb.Agg) {
 			t.Fatalf("trial %d: cold %+v (%v) vs warm %+v (%v)", trial, ga.Agg, ea, gb.Agg, eb)
 		}
-		qa, _, ea := cold.RangeQuantiles(0, t0, t1, []float64{0.5, 0.95})
-		qb, _, eb := warm.RangeQuantiles(0, t0, t1, []float64{0.5, 0.95})
+		sa, _, ea := cold.RangeSummary(0, t0, t1)
+		sb, _, eb := warm.RangeSummary(0, t0, t1)
 		if (ea == nil) != (eb == nil) {
-			t.Fatalf("trial %d: quantile err mismatch %v vs %v", trial, ea, eb)
+			t.Fatalf("trial %d: summary err mismatch %v vs %v", trial, ea, eb)
 		}
-		for i := range qa {
-			if qa[i] != qb[i] {
-				t.Fatalf("trial %d: quantile %d differs: %+v vs %+v", trial, i, qa[i], qb[i])
-			}
+		if !reflect.DeepEqual(sa, sb) {
+			t.Fatalf("trial %d: summaries differ: %+v vs %+v", trial, sa, sb)
 		}
 	}
 }
@@ -218,10 +175,10 @@ func TestPushdownUsesStoreSummarizer(t *testing.T) {
 	if got.Agg != want.Agg {
 		t.Fatalf("summarizer answer differs from rebuilt: %+v vs %+v", got.Agg, want.Agg)
 	}
-	gq, _, _ := s.RangeQuantiles(0, math.Inf(-1), math.Inf(1), []float64{0.5})
-	wq, _, _ := ref.RangeQuantiles(0, math.Inf(-1), math.Inf(1), []float64{0.5})
-	if gq[0] != wq[0] {
-		t.Fatalf("summarizer quantile differs: %+v vs %+v", gq[0], wq[0])
+	gs, _, gerr := s.RangeSummary(0, math.Inf(-1), math.Inf(1))
+	ws, _, werr := ref.RangeSummary(0, math.Inf(-1), math.Inf(1))
+	if gerr != nil || werr != nil || !reflect.DeepEqual(gs, ws) {
+		t.Fatalf("summarizer summary differs from rebuilt: %+v (%v) vs %+v (%v)", gs, gerr, ws, werr)
 	}
 }
 
@@ -279,8 +236,8 @@ func TestRangeAggErrors(t *testing.T) {
 	if _, err := s.RangeAgg(0, 1e9, 2e9); !errors.Is(err, ErrNoData) {
 		t.Fatalf("empty coverage: %v", err)
 	}
-	if _, _, err := s.RangeQuantiles(0, 1e9, 2e9, []float64{0.5}); !errors.Is(err, ErrNoData) {
-		t.Fatalf("quantile empty coverage: %v", err)
+	if _, _, err := s.RangeSummary(0, 1e9, 2e9); !errors.Is(err, ErrNoData) {
+		t.Fatalf("summary empty coverage: %v", err)
 	}
 }
 
