@@ -14,6 +14,13 @@ GO ?= go
 COVER_FLOORS = internal/core:95 internal/tsdb:83 internal/tsdb/mmapstore:85 internal/wal:70 \
 	internal/sketch:90 internal/query:92
 
+# Allocation budgets: pkg:benchmark:max allocs/op for hot paths that
+# must allocate, but no more than they do now. Each number is what the
+# benchmark reported when its budget was set. Like the coverage floors
+# they only ratchet: lower one when a change cuts allocations, never
+# raise one to make a build pass.
+ALLOC_BUDGETS = internal/sketch:BenchmarkBuildBlock/rough:4 internal/sketch:BenchmarkBuildBlock/smooth:4
+
 .PHONY: verify fmt-check build test race bench-smoke cover-check alloc-check oracle-sweep docs-check
 
 verify: fmt-check
@@ -45,18 +52,28 @@ race:
 bench-smoke:
 	bash bench/run.sh -seconds 1 -o bench-smoke.json
 
-# Zero-allocation ratchet for the ingest and query hot loops: every
+# Allocation ratchet for the ingest and query hot loops: every
 # *ZeroAlloc benchmark (frame/record encode, shard apply, datagram
 # header, v2 extent decode, sender-side decimation) must report exactly
-# 0 allocs/op, or the build fails. A new allocation on these paths is a
-# perf regression even when every test still passes.
+# 0 allocs/op, and every benchmark in ALLOC_BUDGETS at most its budget,
+# or the build fails. A new allocation on these paths is a perf
+# regression even when every test still passes.
 alloc-check:
 	@out=$$($(GO) test -run NONE -bench ZeroAlloc -benchmem -benchtime 10000x \
 		./internal/core/ ./internal/encode/ ./internal/server/ ./internal/udpingest/ ./internal/tsdb/mmapstore/); \
 	echo "$$out" | grep -E "^Benchmark" || { echo "alloc-check: no ZeroAlloc benchmarks ran"; exit 1; }; \
 	echo "$$out" | awk '/allocs\/op/ { a=""; for (i=1;i<=NF;i++) if ($$i=="allocs/op") a=$$(i-1); \
 		if (a+0 > 0) { print "alloc-check: " $$1 " allocates (" a " allocs/op)"; fail=1 } } \
-		END { exit fail }'
+		END { exit fail }' || exit 1; \
+	fail=0; \
+	for spec in $(ALLOC_BUDGETS); do \
+		pkg=$${spec%%:*}; rest=$${spec#*:}; bench=$${rest%:*}; max=$${rest##*:}; \
+		line=$$($(GO) test -run NONE -bench "^$$bench$$" -benchmem -benchtime 2000x ./$$pkg | grep -E "^$$bench(-[0-9]+)? "); \
+		a=$$(echo "$$line" | awk '{ for (i=1;i<=NF;i++) if ($$i=="allocs/op") print $$(i-1) }'); \
+		if [ -z "$$a" ]; then echo "alloc-check: $$bench did not run in $$pkg"; fail=1; \
+		elif [ "$$a" -gt "$$max" ]; then echo "alloc-check: $$bench $$a allocs/op OVER budget $$max"; fail=1; \
+		else echo "alloc-check: $$bench $$a allocs/op (budget $$max)"; fi; \
+	done; exit $$fail
 
 cover-check:
 	@fail=0; \

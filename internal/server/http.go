@@ -9,9 +9,10 @@ import (
 // Handler returns the server's observability endpoint: `/metrics` in the
 // Prometheus text exposition format (per-shard queue depth, drops,
 // applied segments, WAL bytes and fsync counts — everything
-// ShardMetrics carries) and `/healthz`, which reports 200 while the
-// server accepts sessions and 503 once a drain has begun. plad serves
-// it on -http; embedders can mount it on their own mux.
+// ShardMetrics carries) and `/healthz`, which reports 200 `ok` once
+// Serve holds a listener, 503 `starting` before that and 503
+// `draining` once Shutdown has begun. plad serves it on -http; embedders
+// can mount it on their own mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.serveHealthz)
@@ -20,13 +21,20 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	closing, listening := s.closing, len(s.lns) > 0
+	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.isClosing() {
+	switch {
+	case closing:
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "draining")
-		return
+	case !listening:
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprintln(w, "starting")
+	default:
+		fmt.Fprintln(w, "ok")
 	}
-	fmt.Fprintln(w, "ok")
 }
 
 func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {

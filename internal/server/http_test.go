@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,14 +11,19 @@ import (
 	"time"
 
 	"github.com/pla-go/pla/internal/gen"
+	"github.com/pla-go/pla/internal/tsdb"
 	"github.com/pla-go/pla/internal/wal"
 )
 
 // TestHTTPObservability exercises the /metrics and /healthz endpoint a
-// durable server exposes: healthy while serving, per-shard gauges and
-// WAL counters present after traffic, draining after Shutdown.
+// durable server exposes: starting before Serve holds a listener,
+// healthy while serving, per-shard gauges and WAL counters present
+// after traffic, draining after Shutdown.
 func TestHTTPObservability(t *testing.T) {
-	srv, addr := startServer(t, Config{Shards: 2, DataDir: t.TempDir(), Sync: wal.SyncAlways})
+	srv, err := New(tsdb.New(), Config{Shards: 2, DataDir: t.TempDir(), Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
 	web := httptest.NewServer(srv.Handler())
 	defer web.Close()
 
@@ -35,6 +41,28 @@ func TestHTTPObservability(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
+	if code, body := get("/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "starting") {
+		t.Fatalf("/healthz before Serve = %d %q, want 503 starting", code, body)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+		if err := <-serveErr; err != ErrClosed {
+			t.Errorf("Serve returned %v, want ErrClosed", err)
+		}
+	})
+	// Addr turns non-nil once Serve holds the listener, and not before.
+	for srv.Addr() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	addr := ln.Addr().String()
 	if code, body := get("/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz = %d %q, want 200 ok", code, body)
 	}

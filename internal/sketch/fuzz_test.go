@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -8,7 +9,8 @@ import (
 // FuzzSketchMerge hammers the decode → merge → query pipeline with
 // arbitrary bytes: whatever parses must merge without panicking, keep
 // the epsNew = max(eps1, eps2) contract, and answer queries inside its
-// own band. Seeds cover empty, exact, compressed, and weighted shapes.
+// own band, and match the binary-search reference Merge exactly. Seeds
+// cover empty, exact, compressed, and weighted shapes.
 func FuzzSketchMerge(f *testing.F) {
 	empty := (&Summary{}).AppendBinary(nil)
 	b := NewBuilder()
@@ -26,6 +28,7 @@ func FuzzSketchMerge(f *testing.F) {
 			return
 		}
 		m := Merge(sa, sb)
+		sameSummary(t, "merge", m, refMerge(sa, sb))
 		if want := math.Max(sa.Eps(), sb.Eps()); m.Eps() != want {
 			t.Fatalf("merged eps %v, want max %v", m.Eps(), want)
 		}
@@ -53,5 +56,55 @@ func FuzzSketchMerge(f *testing.F) {
 		if m.Len() > 17 {
 			t.Fatalf("compress(16) left %d entries", m.Len())
 		}
+	})
+}
+
+// FuzzBuildMatchesSort feeds arbitrary (V, W) sequences to Build and
+// BuildExact and diffs both against the sort-based reference. Each
+// 9-byte record is one Add: V is a float64's bits (NaN, ±Inf and ±0
+// included), W one byte, an integer weight as AddSeg gives. The only
+// allowed difference is the canonical +0 of a −0/+0 tie, which the
+// reference left to its sort.
+func FuzzBuildMatchesSort(f *testing.F) {
+	rec := func(vw ...float64) []byte {
+		var buf []byte
+		for i := 0; i+1 < len(vw); i += 2 {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(vw[i]))
+			buf = append(buf, byte(vw[i+1]))
+		}
+		return buf
+	}
+	f.Add([]byte{})
+	f.Add(rec(3, 1, 1, 1, 2, 1))
+	f.Add(rec(1, 1, 2, 1, 3, 1, 3, 2, 2, 1, 1, 1, 0, 0, 5, 9))
+	f.Add(rec(math.Copysign(0, -1), 1, 0, 2, math.Copysign(0, -1), 1, -1, 1))
+	f.Add(rec(math.NaN(), 1, math.Inf(1), 1, 7, 255, 7, 3, -7, 4))
+	var long []float64
+	for i := 0; i < 600; i++ {
+		long = append(long, float64((i*37)%101)/4, float64(1+i%3))
+	}
+	f.Add(rec(long...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, ref := NewBuilder(), &Builder{}
+		plusZero := false
+		for ; len(data) >= 9; data = data[9:] {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			w := float64(data[8])
+			b.Add(v, w)
+			ref.Add(v, w)
+			plusZero = plusZero || (v == 0 && !math.Signbit(v) && w > 0)
+		}
+		exactRef := &Builder{vals: append([]Entry(nil), ref.vals...)}
+		exact := &Builder{vals: append([]Entry(nil), ref.vals...)}
+		canon := func(s *Summary) *Summary {
+			for i := range s.entries {
+				if s.entries[i].V == 0 && plusZero {
+					s.entries[i].V = 0
+				}
+			}
+			return s
+		}
+		sameSummary(t, "build", b.Build(), canon(refBuild(ref)))
+		sameSummary(t, "exact build", exact.BuildExact(), canon(refBuildExact(exactRef)))
 	})
 }

@@ -17,11 +17,21 @@
 // value space, as the summary's Slack: any reported quantile band is
 // already widened by it. The caller composes the final answer band by
 // adding the series' filter ε on top.
+//
+// A window summary is built without a general sort. The samples a
+// segment contributes lie on its chord, so they arrive in value order;
+// Builder merges those runs, in pooled buffers, and coalesces equal
+// values after ordering (a −0/+0 tie becomes +0). Merge walks both
+// summaries with forward cursors. The summaries are the ones a full
+// sort and a binary search per entry give, to the byte; the tests keep
+// those as references.
 package sketch
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Eps is the rank-error budget a freshly built window summary is
@@ -68,14 +78,39 @@ func (s *Summary) N() float64 { return s.n }
 func (s *Summary) Len() int { return len(s.entries) }
 
 // Builder accumulates weighted values and bakes them into a Summary.
-// It is the write side of the sketch: cheap appends, one sort at Build.
+// It is the write side of the sketch: cheap appends, and at Build a
+// merge of the sorted runs the appends already hold. AddSeg samples a
+// chord, so each segment contributes a monotone run; Build finds the
+// maximal monotone runs in append order, reverses the descending ones
+// and merges the runs bottom-up in pairs, alternating between the
+// builder's buffer and one scratch buffer. Any input order is sorted
+// correctly; long runs only make it fast. Both buffers come from a
+// pool and go back once the summary holds its own copy.
+//
+// After ordering, equal values coalesce into one entry whose weight is
+// the sum of theirs. With integer weights (all AddSeg adds) the sums,
+// and so the summary, do not depend on the order of ties. A tie of −0
+// and +0 coalesces to +0.
 type Builder struct {
 	vals  []Entry // V, W used; ranks assigned at Build
 	slack float64
+	pool  *buffers // where vals came from; nil once built
 }
 
+// buffers is the pooled storage of one build: the appended values, the
+// merge scratch and the run boundaries.
+type buffers struct {
+	vals, tmp []Entry
+	runs      []int
+}
+
+var bufPool = sync.Pool{New: func() any { return new(buffers) }}
+
 // NewBuilder returns an empty builder.
-func NewBuilder() *Builder { return &Builder{} }
+func NewBuilder() *Builder {
+	p := bufPool.Get().(*buffers)
+	return &Builder{vals: p.vals[:0], pool: p}
+}
 
 // Add records one value with the given weight (w > 0).
 func (b *Builder) Add(v, w float64) {
@@ -95,45 +130,118 @@ func (b *Builder) widenSlack(s float64) {
 // Empty reports whether nothing has been added.
 func (b *Builder) Empty() bool { return len(b.vals) == 0 }
 
-// Build sorts the accumulated values into an exact summary (eps 0) and,
-// when it holds more than CompressEntries+1 entries, compresses it to
-// CompressEntries+1 for eps = Eps. The builder is reset.
-func (b *Builder) Build() *Summary {
-	s := b.buildExact()
-	s.Compress(CompressEntries)
-	return s
-}
+// Build orders the accumulated values into an exact summary (eps 0)
+// and, when it holds more than CompressEntries+1 entries, compresses it
+// to CompressEntries+1 for eps = Eps. The builder is reset.
+func (b *Builder) Build() *Summary { return b.build(CompressEntries) }
 
 // BuildExact bakes the accumulated values without compressing — the
 // shape used for query-edge segments, whose handful of samples are kept
 // rank-exact. The builder is reset.
-func (b *Builder) BuildExact() *Summary { return b.buildExact() }
+func (b *Builder) BuildExact() *Summary { return b.build(0) }
 
-func (b *Builder) buildExact() *Summary {
-	vals := b.vals
-	b.vals = nil
-	slack := b.slack
-	b.slack = 0
-	if len(vals) == 0 {
-		return &Summary{slack: slack}
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i].V < vals[j].V })
-	// Coalesce equal values, then assign exact cumulative ranks.
-	out := vals[:1]
-	for _, e := range vals[1:] {
-		if e.V == out[len(out)-1].V {
-			out[len(out)-1].W += e.W
-			continue
+// build bakes the values into an exact summary in pooled storage, then
+// compresses it to compress+1 entries (none when compress is 0) or
+// copies it out, and returns the storage to the pool.
+func (b *Builder) build(compress int) *Summary {
+	vals, p := b.vals, b.pool
+	s := &Summary{slack: b.slack}
+	*b = Builder{}
+	if len(vals) > 0 {
+		if p == nil {
+			p = bufPool.Get().(*buffers)
 		}
-		out = append(out, e)
+		exact := p.order(vals)
+		// Coalesce equal values, then assign exact cumulative ranks.
+		out := exact[:1]
+		for _, e := range exact[1:] {
+			if last := &out[len(out)-1]; e.V == last.V {
+				last.W += e.W
+				if !math.Signbit(e.V) {
+					last.V = e.V // only changes a −0 to +0
+				}
+				continue
+			}
+			out = append(out, e)
+		}
+		cum := 0.0
+		for i := range out {
+			cum += out[i].W
+			out[i].Rmin = cum
+			out[i].Rmax = cum
+		}
+		s.n, s.entries = cum, out
+		if compress > 0 && len(out) > compress+1 {
+			s.Compress(compress)
+		} else {
+			s.entries = append(make([]Entry, 0, len(out)), out...)
+		}
 	}
-	cum := 0.0
-	for i := range out {
-		cum += out[i].W
-		out[i].Rmin = cum
-		out[i].Rmax = cum
+	if p != nil {
+		bufPool.Put(p)
 	}
-	return &Summary{n: cum, slack: slack, entries: out}
+	return s
+}
+
+// order sorts vals by V, stably, and returns the sorted slice, which is
+// vals or p.tmp. It reverses each maximal strictly descending run in
+// place, then merges adjacent runs pairwise, each pass writing the
+// other buffer, until one run is left. The two buffers are kept in p
+// for the next build.
+func (p *buffers) order(vals []Entry) []Entry {
+	runs := append(p.runs[:0], 0)
+	for i := 0; i < len(vals); {
+		j := i + 1
+		if j < len(vals) && vals[j].V < vals[i].V {
+			for j < len(vals) && vals[j].V < vals[j-1].V {
+				j++
+			}
+			slices.Reverse(vals[i:j])
+		} else {
+			for j < len(vals) && vals[j].V >= vals[j-1].V {
+				j++
+			}
+		}
+		runs = append(runs, j)
+		i = j
+	}
+	src, dst := vals, slices.Grow(p.tmp[:0], len(vals))[:len(vals)]
+	for len(runs) > 2 {
+		// runs[k] is the start of run k; pair run k with run k+1 (or
+		// copy it alone when it is the last), compacting runs in place:
+		// entry k/2+1 is written only after runs[k+2] was read.
+		next := runs[:1]
+		for k := 0; k+1 < len(runs); k += 2 {
+			lo, mid, hi := runs[k], runs[k+1], runs[k+1]
+			if k+2 < len(runs) {
+				hi = runs[k+2]
+			}
+			mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi])
+			next = append(next, hi)
+		}
+		runs = next
+		src, dst = dst, src
+	}
+	p.vals, p.tmp, p.runs = src[:0], dst[:0], runs[:0]
+	return src
+}
+
+// mergeRuns merges the sorted runs a and b into dst (len(a)+len(b)
+// long), taking from a on ties so the merge is stable.
+func mergeRuns(dst, a, b []Entry) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j].V < a[i].V {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 // Compress reduces the summary to at most b+1 entries, adding 1/b to
@@ -144,8 +252,8 @@ func (s *Summary) Compress(b int) {
 	if b <= 0 || len(s.entries) <= b+1 {
 		return
 	}
-	kept := s.entries[:0:0]
-	kept = append(kept, s.entries[0])
+	kept := make([]Entry, 1, b+1)
+	kept[0] = s.entries[0]
 	for j := 1; j < b; j++ {
 		target := float64(j) / float64(b) * s.n
 		i := sort.Search(len(s.entries), func(i int) bool {
@@ -175,6 +283,11 @@ func mid(e Entry) float64 { return (e.Rmin + e.Rmax) / 2 }
 // are recomputed exactly from the other summary's bounds, so no rank
 // information is lost beyond what the inputs had already given up.
 // Slack, like eps, is a max. Either input may be nil or empty.
+//
+// Both inputs' entries must be strictly increasing in V, as every
+// Builder, Compress, Merge and ParseSummary output is: the merge walks
+// the two with forward cursors instead of searching the other summary
+// for each entry.
 func Merge(a, b *Summary) *Summary {
 	if a == nil || len(a.entries) == 0 {
 		if b == nil {
@@ -205,18 +318,23 @@ func Merge(a, b *Summary) *Summary {
 	for i < len(a.entries) || j < len(b.entries) {
 		var e Entry
 		var other *Summary
+		var k int // the other summary's cursor
 		if j == len(b.entries) || (i < len(a.entries) && a.entries[i].V <= b.entries[j].V) {
-			e, other = a.entries[i], b
+			e, other, k = a.entries[i], b, j
 			i++
 		} else {
-			e, other = b.entries[j], a
+			e, other, k = b.entries[j], a, i
 			j++
 		}
 		// Weight of the other summary's items ≤ e.V: at least the Rmin of
 		// its last entry with value ≤ e.V; at most the weight strictly
-		// below its first entry with value > e.V.
+		// below its first entry with value > e.V. Everything before the
+		// other's cursor is already merged, so ≤ e.V; step past an entry
+		// equal to e.V to reach the first one above it.
 		oe := other.entries
-		k := sort.Search(len(oe), func(k int) bool { return oe[k].V > e.V })
+		for k < len(oe) && oe[k].V <= e.V {
+			k++
+		}
 		if k > 0 {
 			e.Rmin += oe[k-1].Rmin
 		}
