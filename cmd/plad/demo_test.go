@@ -3,11 +3,11 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"sort"
 	"sync"
+	"testing"
 	"time"
 
 	"github.com/pla-go/pla/internal/core"
@@ -15,7 +15,40 @@ import (
 	"github.com/pla-go/pla/internal/gen"
 	"github.com/pla-go/pla/internal/server"
 	"github.com/pla-go/pla/internal/tsdb"
+	"github.com/pla-go/pla/internal/wal"
 )
+
+// TestDemo runs the loopback self-check: any precision violation or lost
+// segment fails it.
+func TestDemo(t *testing.T) {
+	runDemo(t, server.Config{Shards: 4, QueueDepth: 128}, "tcp", 9, 400, 25)
+}
+
+// TestDemoUDP runs the same self-check with the fleet streaming over
+// the datagram transport: the precision bands and lag accounting must
+// hold regardless of the ingest wire.
+func TestDemoUDP(t *testing.T) {
+	runDemo(t, server.Config{Shards: 4, QueueDepth: 128}, "udp", 9, 400, 25)
+}
+
+// TestDemoDurable runs the self-check with a data directory on each
+// store backend, at plad's default shards and queue depth: ingest, drain,
+// then restart from disk as configured, resharded and on the other
+// backend, verifying segment-for-segment equality each time.
+func TestDemoDurable(t *testing.T) {
+	for _, backend := range []server.StoreBackend{server.BackendMem, server.BackendMmap} {
+		t.Run(backend.String(), func(t *testing.T) {
+			cfg := server.Config{
+				Shards:       8,
+				QueueDepth:   1024,
+				DataDir:      t.TempDir(),
+				StoreBackend: backend,
+				Sync:         wal.SyncAlways,
+			}
+			runDemo(t, cfg, "tcp", 6, 1500, 25)
+		})
+	}
+}
 
 // demoSensor is one synthetic client of the self-check fleet.
 type demoSensor struct {
@@ -76,30 +109,32 @@ func demoFilter(kind string, eps float64, maxLag int) (core.Filter, error) {
 	}
 }
 
+// shutdown drains s, failing t if live sessions had to be force-closed.
+func shutdown(t *testing.T, s *server.Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
+}
+
 // runDemo drives the full sensor → server → query loop on loopback and
 // verifies the precision contract end to end. transport selects the
-// ingest wire ("tcp" or "udp" — queries always run over TCP). With a
+// ingest wire ("tcp" or "udp"; queries always run over TCP). With a
 // DataDir configured it finishes by restarting the server from the data
 // directory alone and verifying the recovered archive segment for
 // segment.
-func runDemo(w io.Writer, cfg server.Config, transport string, clients, points, maxLag int) error {
-	if clients < 1 || points < 10 {
-		return fmt.Errorf("demo needs ≥1 client and ≥10 points")
-	}
-	if maxLag < 0 || maxLag == 1 {
-		return fmt.Errorf("-demo-max-lag must be ≥2 (or 0 to disable)")
-	}
-	if transport == "" {
-		transport = "tcp"
-	}
+func runDemo(t *testing.T, cfg server.Config, transport string, clients, points, maxLag int) {
 	s, err := server.New(nil, cfg)
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { shutdown(t, s) }) // idempotent: covers early failures
 	db := s.DB()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
 	go s.Serve(ln)
 	addr := ln.Addr().String()
@@ -107,17 +142,15 @@ func runDemo(w io.Writer, cfg server.Config, transport string, clients, points, 
 	if transport == "udp" {
 		ua, err := s.ListenUDP("127.0.0.1:0", 0)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		ingestAddr = ua.String()
 	}
-	fmt.Fprintf(w, "plad demo: server on %s (%s ingest), %d clients × %d points\n", addr, transport, clients, points)
 
 	fleet := demoFleet(clients, points, maxLag)
 	start := time.Now()
 	var wg sync.WaitGroup
 	acks := make([]server.Ack, len(fleet))
-	bytes := make([]int64, len(fleet))
 	errs := make([]error, len(fleet))
 	for i, sn := range fleet {
 		wg.Add(1)
@@ -138,26 +171,22 @@ func runDemo(w io.Writer, cfg server.Config, transport string, clients, points, 
 				return
 			}
 			acks[i], errs[i] = c.Close()
-			bytes[i] = c.BytesSent() // after Close: includes final segments + terminator
 		}(i, sn)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("client %s: %w", fleet[i].name, err)
+			t.Fatalf("client %s: %v", fleet[i].name, err)
 		}
 	}
 	elapsed := time.Since(start)
 
 	q, err := server.DialQuery(addr)
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
 	defer q.Close()
 
-	fmt.Fprintf(w, "\n%-10s %-7s %9s %9s %9s %12s %22s\n",
-		"series", "filter", "points", "segments", "bytes", "mean±ε", "true mean (in band?)")
-	violations := 0
 	for i, sn := range fleet {
 		t0, t1 := sn.signal[0].T, sn.signal[len(sn.signal)-1].T
 		// Per-sample contract: every sample within ε of the reconstruction.
@@ -165,13 +194,13 @@ func runDemo(w io.Writer, cfg server.Config, transport string, clients, points, 
 		for _, p := range sn.signal {
 			x, err := q.At(sn.name, p.T)
 			if err != nil {
-				return fmt.Errorf("%s: At(%v): %w", sn.name, p.T, err)
+				t.Fatalf("%s: At(%v): %v", sn.name, p.T, err)
 			}
 			worst = math.Max(worst, math.Abs(x[0]-p.X[0]))
 			recSum += x[0]
 		}
 		if worst > sn.eps+1e-9 {
-			violations++
+			t.Errorf("%s: worst sample error %g exceeds ε %g", sn.name, worst, sn.eps)
 		}
 		recMean := recSum / float64(len(sn.signal))
 		// Aggregate bands against the generated ground truth.
@@ -184,41 +213,38 @@ func runDemo(w io.Writer, cfg server.Config, transport string, clients, points, 
 		trueMean := sum / float64(len(sn.signal))
 		mean, err := q.Mean(sn.name, 0, t0, t1)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		mn, err := q.Min(sn.name, 0, t0, t1)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		mx, err := q.Max(sn.name, 0, t0, t1)
 		if err != nil {
-			return err
+			t.Fatal(err)
+		}
+		if trueMin < mn.Lo()-1e-9 || trueMax > mx.Hi()+1e-9 {
+			t.Errorf("%s: true [%g, %g] outside the MIN/MAX bands [%g, %g]", sn.name, trueMin, trueMax, mn.Lo(), mx.Hi())
 		}
 		// The deterministic mean guarantee runs through the reconstruction
 		// evaluated at the sample times: averaging |rec−x| ≤ ε bounds it.
 		// The time-weighted MEAN must in turn sit inside the
 		// reconstruction's own [min, max] envelope.
-		meanOK := math.Abs(recMean-trueMean) <= mean.Epsilon+1e-9 &&
-			mean.Value >= mn.Value-1e-9 && mean.Value <= mx.Value+1e-9
-		if trueMin < mn.Lo()-1e-9 || trueMax > mx.Hi()+1e-9 || !meanOK {
-			violations++
+		if math.Abs(recMean-trueMean) > mean.Epsilon+1e-9 {
+			t.Errorf("%s: sampled reconstruction mean %g is more than %g from the true mean %g", sn.name, recMean, mean.Epsilon, trueMean)
 		}
-		fmt.Fprintf(w, "%-10s %-7s %9d %9d %9d %7.3f±%.2f %14.3f (%v)\n",
-			sn.name, sn.kind, len(sn.signal), acks[i].Applied, bytes[i],
-			recMean, mean.Epsilon, trueMean, meanOK)
+		if mean.Value < mn.Value-1e-9 || mean.Value > mx.Value+1e-9 {
+			t.Errorf("%s: MEAN %g outside [MIN %g, MAX %g]", sn.name, mean.Value, mn.Value, mx.Value)
+		}
+		t.Logf("%-9s %-7s %6d points %5d segments  mean %7.3f±%.2f (true %.3f)",
+			sn.name, sn.kind, len(sn.signal), acks[i].Applied, recMean, mean.Epsilon, trueMean)
 	}
 
 	m := s.Metrics()
-	fmt.Fprintf(w, "\nshards (policy %s):\n", cfg.Policy)
-	for _, sm := range m.Shards {
-		fmt.Fprintf(w, "  shard %2d: %6d segments, %7d points, %7d B, queue %d/%d, rejected %d, dropped %d\n",
-			sm.Shard, sm.Segments, sm.Points, sm.Bytes, sm.QueueLen, sm.QueueCap, sm.Rejected, sm.Dropped)
-	}
 	totalPoints := clients * points
-	fmt.Fprintf(w, "\ningested %d points as %d segments (%d B on the wire, %.1fx vs raw) in %v (%.0f points/s)\n",
-		totalPoints, m.Segments, m.Bytes,
-		float64(encode.RawSize(totalPoints, 1))/math.Max(float64(m.Bytes), 1),
-		elapsed.Round(time.Millisecond), float64(totalPoints)/elapsed.Seconds())
+	t.Logf("%s ingest: %d points as %d segments (%d B on the wire, %.1fx vs raw) in %v",
+		transport, totalPoints, m.Segments, m.Bytes,
+		float64(encode.RawSize(totalPoints, 1))/math.Max(float64(m.Bytes), 1), elapsed.Round(time.Millisecond))
 
 	// Lag-bounded sensors drained cleanly: every advertised bound must be
 	// on record with a fully finalized, staleness-free series behind it.
@@ -229,39 +255,38 @@ func runDemo(w io.Writer, cfg server.Config, transport string, clients, points, 
 		}
 		info, err := q.Lag(sn.name)
 		if err != nil {
-			return fmt.Errorf("%s: LAG: %w", sn.name, err)
+			t.Fatalf("%s: LAG: %v", sn.name, err)
 		}
 		if info.Bound != int64(sn.maxLag) || info.Pending != 0 || info.Stale != 0 ||
 			info.Covered != int64(len(sn.signal)) {
-			return fmt.Errorf("%s: lag accounting off after drain: %+v", sn.name, info)
+			t.Errorf("%s: lag accounting off after drain: %+v", sn.name, info)
 		}
 		lagged++
 	}
-	if lagged > 0 {
-		fmt.Fprintf(w, "\n%d lag-bounded sessions (m=%d) drained staleness-free ✓\n", lagged, maxLag)
+	if maxLag > 0 && lagged == 0 {
+		t.Error("no lag-bounded session was checked")
 	}
 
 	// Segment-native pushdown: AGG and QUANTILE answer from summary
 	// windows plus closed-form edge segments, never a per-point fold.
 	// Check their composed bands against the generated ground truth.
-	var windows int
 	for _, sn := range fleet {
 		t0, t1 := sn.signal[0].T, sn.signal[len(sn.signal)-1].T
 		cnt, err := q.Agg("count", sn.name, 0, t0, t1)
 		if err != nil {
-			return fmt.Errorf("%s: AGG count: %w", sn.name, err)
+			t.Fatalf("%s: AGG count: %v", sn.name, err)
 		}
 		mn, err := q.Agg("min", sn.name, 0, t0, t1)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		mx, err := q.Agg("max", sn.name, 0, t0, t1)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		med, err := q.Quantiles(sn.name, 0, t0, t1, 0.5)
 		if err != nil {
-			return fmt.Errorf("%s: QUANTILE: %w", sn.name, err)
+			t.Fatalf("%s: QUANTILE: %v", sn.name, err)
 		}
 		vals := make([]float64, len(sn.signal))
 		trueMin, trueMax := math.Inf(1), math.Inf(-1)
@@ -272,73 +297,47 @@ func runDemo(w io.Writer, cfg server.Config, transport string, clients, points, 
 		}
 		sort.Float64s(vals)
 		trueMed := vals[(len(vals)-1)/2]
-		if cnt.Count != int64(len(sn.signal)) ||
-			trueMin < mn.Lo()-1e-9 || trueMax > mx.Hi()+1e-9 ||
-			trueMed < med[0].Lo-1e-9 || trueMed > med[0].Hi+1e-9 {
-			violations++
+		if cnt.Count != int64(len(sn.signal)) {
+			t.Errorf("%s: AGG count %d, sensor sent %d", sn.name, cnt.Count, len(sn.signal))
 		}
-		windows += cnt.Windows
+		if trueMin < mn.Lo()-1e-9 || trueMax > mx.Hi()+1e-9 {
+			t.Errorf("%s: true [%g, %g] outside the AGG min/max bands [%g, %g]", sn.name, trueMin, trueMax, mn.Lo(), mx.Hi())
+		}
+		if trueMed < med[0].Lo-1e-9 || trueMed > med[0].Hi+1e-9 {
+			t.Errorf("%s: true median %g outside the QUANTILE band [%g, %g]", sn.name, trueMed, med[0].Lo, med[0].Hi)
+		}
 	}
 	fleetCnt, err := q.Agg("count", "*", 0, 0, math.MaxFloat64)
 	if err != nil {
-		return fmt.Errorf("AGG count *: %w", err)
+		t.Fatalf("AGG count *: %v", err)
 	}
-	if fleetCnt.Count != int64(clients*points) {
-		return fmt.Errorf("fan-out AGG counted %d samples, fleet sent %d", fleetCnt.Count, clients*points)
+	if fleetCnt.Count != int64(totalPoints) {
+		t.Errorf("fan-out AGG counted %d samples, fleet sent %d", fleetCnt.Count, totalPoints)
 	}
-	fmt.Fprintf(w, "pushdown AGG/QUANTILE bands verified over %d series (fan-out count %d, %d summary windows, %d segments) ✓\n",
-		len(fleet), fleetCnt.Count, windows, fleetCnt.Segments)
 
 	// Detach the archive contents before Shutdown: under the mmap
 	// backend the drain unmaps the extent files, so the comparison
 	// baseline must not read through them afterwards.
 	want := detach(db)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
+	shutdown(t, s)
+	if cfg.DataDir == "" {
+		return
 	}
-	// The drain's final compaction applies the retention window after
-	// the baseline was captured; mirror it, or a -retain demo would
-	// flag the (correct) recovery as missing the pruned head.
-	if cfg.RetainSegments > 0 {
-		for _, name := range want.Names() {
-			if ws, err := want.Get(name); err == nil {
-				if _, end, ok := ws.Span(); ok {
-					ws.DropBefore(end - cfg.RetainSegments)
-				}
-			}
-		}
+	verifyRecovery(t, cfg, want)
+	// Restart once more with a different shard count: the partitioned
+	// logs must migrate into the new sharding without losing a segment.
+	resharded := cfg
+	resharded.Shards = cfg.Shards*2 + 1
+	verifyRecovery(t, resharded, want)
+	// And once more on the other store backend: the same directory must
+	// migrate between mem and mmap without losing a segment.
+	flipped := resharded
+	if flipped.StoreBackend == server.BackendMmap {
+		flipped.StoreBackend = server.BackendMem
+	} else {
+		flipped.StoreBackend = server.BackendMmap
 	}
-	if violations > 0 {
-		return fmt.Errorf("%d precision violations", violations)
-	}
-	fmt.Fprintln(w, "all precision bands verified ✓")
-	if cfg.DataDir != "" {
-		if err := verifyRecovery(w, cfg, want); err != nil {
-			return err
-		}
-		// Restart once more with a different shard count: the partitioned
-		// logs must migrate into the new sharding without losing a
-		// segment.
-		resharded := cfg
-		resharded.Shards = cfg.Shards*2 + 1
-		if err := verifyRecovery(w, resharded, want); err != nil {
-			return fmt.Errorf("reshard %d→%d: %w", cfg.Shards, resharded.Shards, err)
-		}
-		// And once more on the other store backend: the same directory
-		// must migrate between mem and mmap without losing a segment.
-		flipped := resharded
-		if flipped.StoreBackend == server.BackendMmap {
-			flipped.StoreBackend = server.BackendMem
-		} else {
-			flipped.StoreBackend = server.BackendMmap
-		}
-		if err := verifyRecovery(w, flipped, want); err != nil {
-			return fmt.Errorf("backend flip %v→%v: %w", resharded.StoreBackend, flipped.StoreBackend, err)
-		}
-	}
-	return nil
+	verifyRecovery(t, flipped, want)
 }
 
 // detach deep-copies an archive's contents into a plain in-memory
@@ -364,48 +363,44 @@ func detach(db *tsdb.Archive) *tsdb.Archive {
 // verifyRecovery rebuilds a server from the data directory alone and
 // checks the recovered archive matches the drained one segment for
 // segment — the durability half of the self-check.
-func verifyRecovery(w io.Writer, cfg server.Config, want *tsdb.Archive) error {
+func verifyRecovery(t *testing.T, cfg server.Config, want *tsdb.Archive) {
 	s, err := server.New(nil, cfg)
 	if err != nil {
-		return fmt.Errorf("recovery: %w", err)
+		t.Fatalf("recovery (%d shards, %v store): %v", cfg.Shards, cfg.StoreBackend, err)
 	}
+	defer shutdown(t, s)
 	db := s.DB()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	defer s.Shutdown(ctx)
 	names := want.Names()
-	got := db.Names()
-	if len(got) != len(names) {
-		return fmt.Errorf("recovery: %d series, want %d", len(got), len(names))
+	if got := db.Names(); len(got) != len(names) {
+		t.Fatalf("recovery (%d shards, %v store): %d series, want %d", cfg.Shards, cfg.StoreBackend, len(got), len(names))
 	}
 	var segs int
 	for _, name := range names {
 		ws, err := want.Get(name)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		gs, err := db.Get(name)
 		if err != nil {
-			return fmt.Errorf("recovery: series %q missing: %w", name, err)
+			t.Fatalf("recovery: series %q missing: %v", name, err)
 		}
 		wsegs, gsegs := ws.Segments(), gs.Segments()
 		if len(gsegs) != len(wsegs) {
-			return fmt.Errorf("recovery: %s has %d segments, want %d", name, len(gsegs), len(wsegs))
+			t.Fatalf("recovery: %s has %d segments, want %d", name, len(gsegs), len(wsegs))
 		}
 		for i := range wsegs {
 			a, b := wsegs[i], gsegs[i]
 			if a.T0 != b.T0 || a.T1 != b.T1 || a.Connected != b.Connected || a.Points != b.Points {
-				return fmt.Errorf("recovery: %s segment %d differs: %+v vs %+v", name, i, a, b)
+				t.Fatalf("recovery: %s segment %d differs: %+v vs %+v", name, i, a, b)
 			}
 			for d := range a.X0 {
 				if a.X0[d] != b.X0[d] || a.X1[d] != b.X1[d] {
-					return fmt.Errorf("recovery: %s segment %d values differ in dim %d", name, i, d)
+					t.Fatalf("recovery: %s segment %d values differ in dim %d", name, i, d)
 				}
 			}
 		}
 		segs += len(gsegs)
 	}
-	fmt.Fprintf(w, "restart from %s (%d shards) verified: %d series, %d segments identical ✓\n",
-		cfg.DataDir, cfg.Shards, len(names), segs)
-	return nil
+	t.Logf("restart (%d shards, %v store) verified: %d series, %d segments identical",
+		cfg.Shards, cfg.StoreBackend, len(names), segs)
 }

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	plad [-addr :7070] [-shards 8] [-queue 1024]
-//	     [-policy block|drop|drop-oldest|sample]
+//	     [-policy block|sample]
 //	     [-eps-budget BYTES_PER_SEC] [-retune-every 1s]
 //	     [-transport tcp|udp] [-udp-listeners N]
 //	     [-data-dir DIR] [-store mem|mmap]
@@ -15,12 +15,10 @@
 //	     [-rollup-tiers 4,16]
 //	     [-sync always|interval|off] [-sync-every 50ms]
 //	     [-compact-bytes N] [-retain T] [-http ADDR]
-//	plad -demo [-demo-clients 8] [-demo-points 2000] [-demo-max-lag 25]
-//	     [-transport tcp|udp] [-data-dir DIR]
 //	plad -list-flags | -list-metrics
 //
-// Without -demo, plad serves until SIGINT/SIGTERM, then drains its shard
-// queues and exits. With -data-dir the archive is durable through a
+// plad serves until SIGINT/SIGTERM, then drains its shard queues and
+// exits. With -data-dir the archive is durable through a
 // partitioned commit pipeline: each ingest shard owns its own
 // `shard-<k>/` write-ahead log, so appends and fsyncs run in parallel,
 // and under -sync always each shard batches every session barrier
@@ -32,7 +30,7 @@
 // snapshots as it grows (dropping segments older than the -retain
 // window, if set), and a graceful drain leaves one clean snapshot per
 // shard. -http serves /metrics (Prometheus text: per-shard queue depth,
-// drops, WAL bytes, fsync and group-commit counts) and /healthz.
+// WAL bytes, fsync and group-commit counts) and /healthz.
 // -store mmap swaps the heap-resident segment store for the
 // read-optimized extent store: sealed segments live in memory-mapped,
 // checksummed files under <data-dir>/mstore, compaction seals instead
@@ -48,10 +46,10 @@
 // its ingest ε (derived tiers, invisible to SERIES and "*"), and
 // queries carrying a BOUND argument are answered from the coarsest tier
 // whose composed bound still satisfies it — far fewer segments read,
-// honest wider band on the reply. -policy sample
-// selects graceful degradation: full queues apply backpressure instead
-// of dropping segments, and the retune loop tells retune-capable
-// senders to decimate points ahead of their filter, walking a stride
+// honest wider band on the reply. Full shard queues always apply
+// backpressure; no segment is shed. -policy sample adds graceful
+// degradation on top: the retune loop tells retune-capable senders to
+// decimate points ahead of their filter, walking a stride
 // ladder with queue fill; the senders report the measured effective-ε
 // inflation, which queries surface and /metrics exports
 // (plad_session_eps_effective). -eps-budget additionally caps total
@@ -61,20 +59,8 @@
 // the daemon's flag and /metrics name inventories (one per line) and
 // exit; `make docs-check` diffs them against the documentation.
 //
-// With -demo it starts a server on an ephemeral loopback port, drives
-// -demo-clients concurrent sensors through it (synthetic signals from
-// internal/gen, one filter kind per client, round-robin; the swing and
-// slide sensors stream lag-bounded at -demo-max-lag, exercising the
-// provisional-update path), runs range and aggregate queries back,
-// verifies the precision bands against the generated ground truth and
-// the lag accounting (bound on record, zero staleness after the drain),
-// prints the per-shard metrics, and exits non-zero on any violation —
-// an end-to-end self-check of the sensor → server → query loop. Adding
-// -data-dir extends the self-check with restarts: after the drain the
-// server is rebuilt from the data directory alone — once as configured,
-// once under a different shard count, and once on the other store
-// backend — and every series is verified segment-for-segment against
-// the pre-restart archive each time.
+// The end-to-end self-check of the sensor → server → query loop lives in
+// this package's tests: `go test ./cmd/plad -run TestDemo -v`.
 package main
 
 import (
@@ -99,7 +85,7 @@ func main() {
 		addr         = flag.String("addr", ":7070", "listen address")
 		shards       = flag.Int("shards", 8, "filter worker shards")
 		queue        = flag.Int("queue", 1024, "per-shard queue depth (segments)")
-		policy       = flag.String("policy", "block", "overload policy: block (backpressure), drop (shed newest), drop-oldest (shed stalest) or sample (backpressure + retune-capable senders decimate, spending precision instead of losing intervals)")
+		policy       = flag.String("policy", "block", "overload policy: block (backpressure) or sample (backpressure + retune-capable senders decimate, spending precision instead of losing intervals)")
 		epsBudget    = flag.Float64("eps-budget", 0, "total ingest byte-rate budget in bytes/s across retune-capable sessions: when exceeded, session ε widens burden-proportionally (up to 16× contract) and relaxes back under budget (0 = disabled)")
 		retuneEvery  = flag.Duration("retune-every", time.Second, "how often the retune loop reassesses session degradation (-policy sample or -eps-budget)")
 		dataDir      = flag.String("data-dir", "", "durable storage directory (empty = in-memory only)")
@@ -114,10 +100,6 @@ func main() {
 		transport    = flag.String("transport", "tcp", "ingest transport: tcp, or udp (adds the datagram endpoint on -addr's port; TCP keeps serving streams and queries)")
 		udpListeners = flag.Int("udp-listeners", 0, "SO_REUSEPORT datagram listeners with -transport udp (0 = one per core)")
 		httpAddr     = flag.String("http", "", "serve /metrics and /healthz on this address (empty = disabled)")
-		demo         = flag.Bool("demo", false, "run the loopback self-check demo and exit")
-		demoClients  = flag.Int("demo-clients", 8, "concurrent sensors in the demo")
-		demoPoints   = flag.Int("demo-points", 2000, "points per demo sensor")
-		demoMaxLag   = flag.Int("demo-max-lag", 25, "m_max_lag bound the demo's swing/slide sensors advertise (0 = unbounded)")
 		listFlags    = flag.Bool("list-flags", false, "print every plad flag name, one per line, and exit (docs-check input)")
 		listMetrics  = flag.Bool("list-metrics", false, "print every /metrics series name, one per line, and exit (docs-check input)")
 	)
@@ -150,14 +132,10 @@ func main() {
 	switch *policy {
 	case "block":
 		cfg.Policy = server.Block
-	case "drop":
-		cfg.Policy = server.DropNewest
-	case "drop-oldest":
-		cfg.Policy = server.DropOldest
 	case "sample":
 		cfg.Policy = server.Sample
 	default:
-		fatal(fmt.Errorf("unknown -policy %q (want block, drop, drop-oldest or sample)", *policy))
+		fatal(fmt.Errorf("unknown -policy %q (want block or sample)", *policy))
 	}
 	cfg.EpsBudget = *epsBudget
 	cfg.RetunePeriod = *retuneEvery
@@ -181,13 +159,6 @@ func main() {
 	case "tcp", "udp":
 	default:
 		fatal(fmt.Errorf("unknown -transport %q (want tcp or udp)", *transport))
-	}
-
-	if *demo {
-		if err := runDemo(os.Stdout, cfg, *transport, *demoClients, *demoPoints, *demoMaxLag); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	s, err := server.New(nil, cfg)

@@ -1,74 +1,37 @@
 package main
 
 import (
-	"bytes"
+	"context"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
-
-	"github.com/pla-go/pla/internal/server"
-	"github.com/pla-go/pla/internal/wal"
+	"time"
 )
 
-// TestDemo runs the full loopback self-check at a reduced size: any
-// precision violation or lost segment fails it.
-func TestDemo(t *testing.T) {
-	var out bytes.Buffer
-	cfg := server.Config{Shards: 4, QueueDepth: 128}
-	if err := runDemo(&out, cfg, "tcp", 9, 400, 25); err != nil {
-		t.Fatalf("demo: %v\noutput:\n%s", err, out.String())
+// TestPolicyFlagRejectsShedding runs plad's main with each overload
+// policy it no longer has: start-up must exit non-zero and name the two
+// it does.
+func TestPolicyFlagRejectsShedding(t *testing.T) {
+	if p := os.Getenv("PLAD_TEST_POLICY"); p != "" {
+		os.Args = []string{"plad", "-addr", "127.0.0.1:0", "-policy", p}
+		main()
+		return
 	}
-	if !strings.Contains(out.String(), "all precision bands verified") {
-		t.Errorf("demo output missing verification line:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "drained staleness-free") {
-		t.Errorf("demo output missing lag-bounded verification line:\n%s", out.String())
-	}
-}
-
-// TestDemoUDP runs the same self-check with the fleet streaming over
-// the datagram transport: the precision bands and lag accounting must
-// hold regardless of the ingest wire.
-func TestDemoUDP(t *testing.T) {
-	var out bytes.Buffer
-	cfg := server.Config{Shards: 4, QueueDepth: 128}
-	if err := runDemo(&out, cfg, "udp", 9, 400, 25); err != nil {
-		t.Fatalf("udp demo: %v\noutput:\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "udp ingest") {
-		t.Errorf("udp demo output missing transport banner:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "all precision bands verified") {
-		t.Errorf("udp demo output missing verification line:\n%s", out.String())
-	}
-}
-
-// TestDemoDropPolicy smoke-tests the shed configurations end to end;
-// with a sane queue depth nothing is actually shed, so the bands still
-// hold.
-func TestDemoDropPolicy(t *testing.T) {
-	for _, policy := range []server.DropPolicy{server.DropNewest, server.DropOldest} {
-		var out bytes.Buffer
-		cfg := server.Config{Shards: 2, QueueDepth: 1024, Policy: policy}
-		if err := runDemo(&out, cfg, "tcp", 4, 300, 25); err != nil {
-			t.Fatalf("demo (%s): %v\noutput:\n%s", policy, err, out.String())
+	for _, policy := range []string{"drop", "drop-oldest"} {
+		// A policy that were accepted would serve; the deadline ends it.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestPolicyFlagRejectsShedding$")
+		cmd.Env = append(os.Environ(), "PLAD_TEST_POLICY="+policy)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+			t.Fatalf("-policy %s: got %v, want a non-zero exit\n%s", policy, err, out)
 		}
-	}
-}
-
-// TestDemoDurable runs the demo with a data directory: ingest, drain to
-// a snapshot, restart from disk, and verify segment-for-segment
-// equality — the full recovery loop in one self-check.
-func TestDemoDurable(t *testing.T) {
-	var out bytes.Buffer
-	cfg := server.Config{
-		Shards:  4,
-		DataDir: t.TempDir(),
-		Sync:    wal.SyncAlways,
-	}
-	if err := runDemo(&out, cfg, "tcp", 6, 400, 25); err != nil {
-		t.Fatalf("durable demo: %v\noutput:\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "restart from") {
-		t.Errorf("durable demo output missing recovery verification:\n%s", out.String())
+		if !strings.Contains(string(out), "want block or sample") {
+			t.Errorf("-policy %s: message does not name the two policies:\n%s", policy, out)
+		}
 	}
 }

@@ -612,9 +612,10 @@ func (q *QueryClient) Metrics() ([]ShardMetrics, error) {
 			}
 			n[i] = v
 		}
+		// n[4] is the reserved dropped column.
 		sm := ShardMetrics{
 			Shard: int(n[0]), Segments: n[1], Points: n[2], Rejected: n[3],
-			Dropped: n[4], Bytes: n[5], QueueLen: int(n[6]), QueueCap: int(n[7]),
+			Bytes: n[5], QueueLen: int(n[6]), QueueCap: int(n[7]),
 		}
 		if len(n) == 11 {
 			sm.LagSessions, sm.LagPoints, sm.LagUpdates = n[8], n[9], n[10]

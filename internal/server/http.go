@@ -7,8 +7,8 @@ import (
 )
 
 // Handler returns the server's observability endpoint: `/metrics` in the
-// Prometheus text exposition format (per-shard queue depth, drops,
-// applied segments, WAL bytes and fsync counts — everything
+// Prometheus text exposition format (per-shard queue depth, applied
+// and rejected segments, WAL bytes and fsync counts — everything
 // ShardMetrics carries) and `/healthz`, which reports 200 `ok` once
 // Serve holds a listener, 503 `starting` before that and 503
 // `draining` once Shutdown has begun. plad serves it on -http; embedders
@@ -81,8 +81,6 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		func(sm ShardMetrics) int64 { return sm.Points })
 	counter("plad_shard_rejected_total", "Segments refused (time order, or failed write-ahead).",
 		func(sm ShardMetrics) int64 { return sm.Rejected })
-	counter("plad_shard_dropped_total", "Segments shed by the overload policy.",
-		func(sm ShardMetrics) int64 { return sm.Dropped })
 	counter("plad_shard_wire_bytes_total", "Wire bytes attributed to the shard.",
 		func(sm ShardMetrics) int64 { return sm.Bytes })
 	counter("plad_shard_barriers_total", "Barriers acknowledged (session stream ends and fences).",
@@ -99,8 +97,6 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		func(sm ShardMetrics) int64 { return sm.LagPoints })
 	counter("plad_shard_lag_updates_total", "Provisional max-lag receiver updates applied.",
 		func(sm ShardMetrics) int64 { return sm.LagUpdates })
-	counter("plad_shard_degraded_total", "Drop-oldest enqueues that could not shed without blocking and degraded to backpressure.",
-		func(sm ShardMetrics) int64 { return sm.Degraded })
 	counter("plad_shard_shed_points_total", "Points retune-capable senders reported decimating ahead of their filter, by the fed shard.",
 		func(sm ShardMetrics) int64 { return sm.ShedPoints })
 
@@ -168,7 +164,6 @@ func MetricNames() []string {
 		"plad_shard_segments_total",
 		"plad_shard_points_total",
 		"plad_shard_rejected_total",
-		"plad_shard_dropped_total",
 		"plad_shard_wire_bytes_total",
 		"plad_shard_barriers_total",
 		"plad_shard_commits_total",
@@ -177,7 +172,6 @@ func MetricNames() []string {
 		"plad_shard_lag_sessions",
 		"plad_shard_lag_pending_points",
 		"plad_shard_lag_updates_total",
-		"plad_shard_degraded_total",
 		"plad_shard_shed_points_total",
 		"plad_retune_sessions",
 		"plad_retune_frames_total",

@@ -23,7 +23,8 @@ import (
 //	  by a uvarint-length message), and answers the stream terminator —
 //	  after every finalized segment of the session has been applied to the
 //	  archive — with a final acknowledgement: status byte plus three
-//	  uvarints (segments applied, rejected, dropped).
+//	  uvarints (segments applied, rejected, and a reserved dropped
+//	  count that is always 0).
 //
 //	query ("PLDQ"): a line-oriented text protocol; see query.go.
 const (
@@ -89,9 +90,11 @@ type Ack struct {
 	// Applied is the number of segments stored in the archive.
 	Applied int64
 	// Rejected is the number of segments the archive refused (out of
-	// time order, typically a second client interleaving on the series).
+	// time order, typically a second client interleaving on the series,
+	// or starting before the previous finalized segment ends).
 	Rejected int64
-	// Dropped is the number of segments shed by the overload policy.
+	// Dropped is reserved: it keeps the ack's third wire position, and
+	// this server, whose overload policies shed no segment, sends 0.
 	Dropped int64
 }
 

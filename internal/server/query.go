@@ -25,7 +25,7 @@ import (
 //	QUANTILE <series|*> <dim> <t0> <t1> <q>... [BOUND <b>] → items "q value lo hi stale"
 //	SCAN <series> <t0> <t1> [BOUND <b>] → items "t0 t1 connected points provisional x0... x1..."
 //	LAG <series>                 → "OK consumed final pending stale bound"
-//	METRICS                      → items "shard segments points rejected dropped bytes qlen qcap lagsess lagpts lagupd"
+//	METRICS                      → items "shard segments points rejected 0 bytes qlen qcap lagsess lagpts lagupd" (the 0 is the reserved dropped column)
 //	QUIT                         → "OK bye", connection closes
 //
 // The stale field of the aggregates is the series-level staleness at
@@ -118,8 +118,9 @@ func (s *Server) query(w *bufio.Writer, cmd string, args []string) {
 	case "METRICS":
 		fmt.Fprintln(w, "OK")
 		for _, sm := range s.Metrics().Shards {
-			fmt.Fprintf(w, "%d %d %d %d %d %d %d %d %d %d %d\n",
-				sm.Shard, sm.Segments, sm.Points, sm.Rejected, sm.Dropped, sm.Bytes, sm.QueueLen, sm.QueueCap,
+			// The fifth column (dropped) is reserved and always 0.
+			fmt.Fprintf(w, "%d %d %d %d 0 %d %d %d %d %d %d\n",
+				sm.Shard, sm.Segments, sm.Points, sm.Rejected, sm.Bytes, sm.QueueLen, sm.QueueCap,
 				sm.LagSessions, sm.LagPoints, sm.LagUpdates)
 		}
 		fmt.Fprintln(w, ".")

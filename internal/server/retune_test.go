@@ -5,14 +5,12 @@ import (
 	"io"
 	"math"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/pla-go/pla/internal/core"
 	"github.com/pla-go/pla/internal/encode"
 	"github.com/pla-go/pla/internal/gen"
-	"github.com/pla-go/pla/internal/tsdb"
 )
 
 // TestAdaptiveSessionEndToEnd runs a decimating session against a
@@ -263,66 +261,5 @@ func TestServerRenegotiatesUnderBudget(t *testing.T) {
 	}
 	if qe := sr.QueryEpsilon(); qe[0] <= 0.05 {
 		t.Fatalf("query bound %g did not widen", qe[0])
-	}
-}
-
-// TestDropOldestManyProducersTorture hammers a live shard with many
-// concurrent drop-oldest producers, each fencing behind its own
-// barriers: every barrier must complete (none shed, none deadlocked)
-// and the segment ledger must balance exactly.
-func TestDropOldestManyProducersTorture(t *testing.T) {
-	const producers, perProducer, barriersEach = 8, 400, 5
-	sh := newShard(0, 2, nil, nil)
-	go sh.run()
-	db := tsdb.New()
-	var wg sync.WaitGroup
-	sessions := make([]*ingestSession, producers)
-	for pr := 0; pr < producers; pr++ {
-		sr, _, err := db.GetOrCreate(string(rune('a'+pr)), []float64{1}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions[pr] = &ingestSession{}
-		wg.Add(1)
-		go func(pr int, sr *tsdb.Series) {
-			defer wg.Done()
-			sess := sessions[pr]
-			for i := 0; i < perProducer; i++ {
-				seg := core.Segment{T0: float64(i), T1: float64(i) + 0.5,
-					X0: []float64{0}, X1: []float64{1}, Points: 2}
-				sh.enqueue(job{sess: sess, series: sr, seg: seg}, DropOldest)
-				if i%(perProducer/barriersEach) == 0 {
-					b := make(chan error, 1)
-					sh.enqueue(job{barrier: b}, DropOldest)
-					select {
-					case err := <-b:
-						if err != nil {
-							t.Errorf("producer %d: barrier: %v", pr, err)
-						}
-					case <-time.After(10 * time.Second):
-						t.Errorf("producer %d: barrier lost under drop-oldest churn", pr)
-					}
-				}
-			}
-		}(pr, sr)
-	}
-	wg.Wait()
-	close(sh.jobs)
-	<-sh.done
-	var applied, dropped, rejected int64
-	for _, sess := range sessions {
-		applied += sess.applied.Load()
-		dropped += sess.dropped.Load()
-		rejected += sess.rejected.Load()
-	}
-	if total := applied + dropped + rejected; total != producers*perProducer {
-		t.Fatalf("ledger leaks segments: applied %d + dropped %d + rejected %d = %d, want %d",
-			applied, dropped, rejected, total, producers*perProducer)
-	}
-	if dropped == 0 {
-		t.Fatal("no segment was ever shed — the torture did not overload the queue")
-	}
-	if shDropped := sh.dropped.Load(); shDropped != dropped {
-		t.Fatalf("shard dropped %d != sessions' %d", shDropped, dropped)
 	}
 }

@@ -74,9 +74,9 @@ type Config struct {
 	// QueueDepth is each shard's bounded queue length in segments
 	// (default 1024).
 	QueueDepth int
-	// Policy selects backpressure (Block, default) or load shedding
-	// (DropNewest, DropOldest) when a shard queue is full.
-	Policy DropPolicy
+	// Policy selects plain backpressure (Block, default) or backpressure
+	// plus sender-side decimation (Sample) when a shard queue is full.
+	Policy OverloadPolicy
 	// DataDir, when set, makes the archive durable: New recovers the
 	// directory's snapshot + write-ahead log into db before serving,
 	// shard workers write every segment ahead of applying it, and
@@ -528,11 +528,10 @@ func (s *Server) serveConn(conn net.Conn) {
 type ingestSession struct {
 	applied  atomic.Int64
 	rejected atomic.Int64
-	dropped  atomic.Int64
 }
 
 func (is *ingestSession) ack() Ack {
-	return Ack{Applied: is.applied.Load(), Rejected: is.rejected.Load(), Dropped: is.dropped.Load()}
+	return Ack{Applied: is.applied.Load(), Rejected: is.rejected.Load()}
 }
 
 // serveIngest handles one ingest session: handshake, decode loop feeding
@@ -675,12 +674,10 @@ func (s *Server) serveIngest(conn net.Conn, br *bufio.Reader, cr *encode.Countin
 type Metrics struct {
 	// Shards holds one entry per worker.
 	Shards []ShardMetrics
-	// Segments, Points, Rejected, Dropped and Bytes are totals over the
-	// shards.
+	// Segments, Points, Rejected and Bytes are totals over the shards.
 	Segments int64
 	Points   int64
 	Rejected int64
-	Dropped  int64
 	Bytes    int64
 	// ActiveSessions is the number of ingest sessions streaming right
 	// now; TotalSessions counts accepted ingest handshakes over the
@@ -752,7 +749,6 @@ func (s *Server) Metrics() Metrics {
 		m.Segments += sm.Segments
 		m.Points += sm.Points
 		m.Rejected += sm.Rejected
-		m.Dropped += sm.Dropped
 		m.Bytes += sm.Bytes
 	}
 	return m

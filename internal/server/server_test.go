@@ -218,8 +218,8 @@ func TestConcurrentClientsEpsilonBound(t *testing.T) {
 		wire += sent[i]
 	}
 	m := srv.Metrics()
-	if m.Segments != applied || m.Rejected != 0 || m.Dropped != 0 {
-		t.Errorf("server metrics %+v, want %d segments, 0 rejected/dropped", m, applied)
+	if m.Segments != applied || m.Rejected != 0 {
+		t.Errorf("server metrics %+v, want %d segments, 0 rejected", m, applied)
 	}
 	if m.Bytes != wire {
 		t.Errorf("server counted %d wire bytes, clients sent %d", m.Bytes, wire)
@@ -582,144 +582,6 @@ func TestAggregateNoData(t *testing.T) {
 	}
 	if _, err := q.Min("gap", 0, 10, 5); errors.Is(err, ErrNoData) || err == nil {
 		t.Errorf("inverted range MIN returned %v, want a non-ErrNoData rejection", err)
-	}
-}
-
-// TestDropNewestSheds verifies the shed path deterministically against a
-// shard whose worker is not draining.
-func TestDropNewestSheds(t *testing.T) {
-	sh := newShard(0, 2, nil, nil) // worker intentionally not started
-	db := tsdb.New()
-	sr, _, err := db.GetOrCreate("s", []float64{1}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := &ingestSession{}
-	seg := core.Segment{T0: 0, T1: 1, X0: []float64{0}, X1: []float64{1}, Points: 2}
-	for i := 0; i < 3; i++ {
-		sh.enqueue(job{sess: sess, series: sr, seg: seg}, DropNewest)
-	}
-	if got := sh.dropped.Load(); got != 1 {
-		t.Fatalf("dropped %d, want 1", got)
-	}
-	if got := sess.dropped.Load(); got != 1 {
-		t.Fatalf("session dropped %d, want 1", got)
-	}
-	// Draining now applies the two queued jobs and exits cleanly.
-	close(sh.jobs)
-	sh.run2(t)
-}
-
-// run2 drains a pre-closed shard synchronously for the unit test above.
-func (sh *shard) run2(t *testing.T) {
-	t.Helper()
-	sh.run()
-	if got := sh.segments.Load(); got != 2 {
-		t.Fatalf("applied %d, want 2", got)
-	}
-}
-
-// TestDropOldestSheds verifies the fresh-over-stale shed path against a
-// shard whose worker is not draining: the oldest queued segment goes, the
-// newest stays, and a queued barrier survives shedding.
-func TestDropOldestSheds(t *testing.T) {
-	sh := newShard(0, 2, nil, nil) // worker intentionally not started
-	db := tsdb.New()
-	sr, _, err := db.GetOrCreate("s", []float64{1}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := &ingestSession{}
-	mkSeg := func(i int) core.Segment {
-		return core.Segment{T0: float64(i), T1: float64(i) + 0.5, X0: []float64{0}, X1: []float64{1}, Points: 2}
-	}
-	barrier := make(chan error, 1)
-	sh.enqueue(job{barrier: barrier}, DropOldest)
-	for i := 0; i < 3; i++ {
-		sh.enqueue(job{sess: sess, series: sr, seg: mkSeg(i)}, DropOldest)
-	}
-	// Queue cap 2 holding a barrier: segments 0 and 1 had to go; the
-	// barrier and segment 2 remain.
-	if got := sh.dropped.Load(); got != 2 {
-		t.Fatalf("dropped %d, want 2", got)
-	}
-	if got := sess.dropped.Load(); got != 2 {
-		t.Fatalf("session dropped %d, want 2", got)
-	}
-	close(sh.jobs)
-	sh.run()
-	select {
-	case <-barrier:
-	default:
-		t.Fatal("queued barrier was shed by DropOldest")
-	}
-	if got := sh.segments.Load(); got != 1 {
-		t.Fatalf("applied %d, want 1 (the newest)", got)
-	}
-	segs := sr.Segments()
-	if len(segs) != 1 || segs[0].T0 != 2 {
-		t.Fatalf("archive holds %+v, want only the newest segment (T0=2)", segs)
-	}
-}
-
-// TestDropOldestSustainedOverload pushes an order of magnitude more
-// segments than the queue holds through the shed path, with barriers
-// interleaved: the freshest segments must survive, every stale one is
-// counted, and no barrier is ever shed however long the overload lasts.
-func TestDropOldestSustainedOverload(t *testing.T) {
-	const depth, total, nBarriers = 8, 64, 2
-	sh := newShard(0, depth, nil, nil) // worker intentionally not started
-	db := tsdb.New()
-	sr, _, err := db.GetOrCreate("s", []float64{1}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := &ingestSession{}
-	mkSeg := func(i int) core.Segment {
-		return core.Segment{T0: float64(i), T1: float64(i) + 0.5, X0: []float64{0}, X1: []float64{1}, Points: 2}
-	}
-	// Barriers go in first (they enqueue with Block semantics and must
-	// never be shed); the flood then churns the whole queue many times
-	// over, repeatedly popping the barriers off the head and proving the
-	// re-push keeps them alive through sustained shedding.
-	barriers := make([]chan error, nBarriers)
-	for i := range barriers {
-		barriers[i] = make(chan error, 1)
-		sh.enqueue(job{barrier: barriers[i]}, DropOldest)
-	}
-	for i := 0; i < total; i++ {
-		sh.enqueue(job{sess: sess, series: sr, seg: mkSeg(i)}, DropOldest)
-	}
-	// The queue holds the barriers (never shed) plus the freshest
-	// segments that fit around them.
-	wantKept := depth - len(barriers)
-	if got := sess.dropped.Load(); got != int64(total-wantKept) {
-		t.Fatalf("dropped %d, want %d", got, total-wantKept)
-	}
-	close(sh.jobs)
-	sh.run()
-	for i, b := range barriers {
-		select {
-		case err, ok := <-b:
-			if ok && err != nil {
-				t.Fatalf("barrier %d reported %v", i, err)
-			}
-		default:
-			t.Fatalf("barrier %d was shed under sustained overload", i)
-		}
-	}
-	segs := sr.Segments()
-	if len(segs) != wantKept {
-		t.Fatalf("archive holds %d segments, want the %d freshest", len(segs), wantKept)
-	}
-	// Survivors are exactly the tail of the stream.
-	for i, seg := range segs {
-		if want := float64(total - wantKept + i); seg.T0 != want {
-			t.Fatalf("survivor %d starts at %v, want %v (freshest data must win)", i, seg.T0, want)
-		}
-	}
-	if got := sh.barriers.Load(); got != int64(len(barriers)) {
-		t.Fatalf("acked %d barriers, want %d", got, len(barriers))
 	}
 }
 

@@ -9,45 +9,31 @@ import (
 	"github.com/pla-go/pla/internal/wal"
 )
 
-// DropPolicy selects what an ingest session does when its shard's queue
-// is full.
-type DropPolicy int
+// OverloadPolicy selects what an ingest session does when its shard's
+// queue is full. Neither policy sheds a segment: every interval a sensor
+// sends is stored, so every sample keeps its ε contract.
+type OverloadPolicy int
 
 const (
 	// Block applies backpressure: the session goroutine blocks until the
 	// shard frees a slot, which in turn stalls the client's TCP stream.
 	// Nothing is lost; slow consumers slow producers.
-	Block DropPolicy = iota
-	// DropNewest sheds load: the incoming segment is counted and
-	// discarded, keeping the session (and the wire) moving. The final ack
-	// reports how many segments the session lost.
-	DropNewest
-	// DropOldest sheds the other end of the queue: the incoming segment
-	// is kept and the oldest queued segment is discarded, preferring
-	// fresh data over stale — the right trade for live monitoring, where
-	// the newest reading matters most. Barriers are never shed.
-	DropOldest
-	// Sample never sheds a segment: under pressure the queue applies
-	// backpressure exactly like Block, and the server's retune loop tells
-	// retune-capable senders to decimate points ahead of their filter
-	// (and/or widen ε), spending precision instead of losing intervals.
-	// The effective ε inflation each sender reports is surfaced on query
-	// bounds, so every answer stays honest about what was shed.
+	Block OverloadPolicy = iota
+	// Sample applies backpressure exactly like Block, and the server's
+	// retune loop tells retune-capable senders to decimate points ahead
+	// of their filter (and/or widen ε), spending precision instead of
+	// losing intervals. The effective ε inflation each sender reports is
+	// surfaced on query bounds, so every answer stays honest about what
+	// was shed.
 	Sample
 )
 
 // String names the policy for flags and metrics output.
-func (p DropPolicy) String() string {
-	switch p {
-	case DropNewest:
-		return "drop"
-	case DropOldest:
-		return "drop-oldest"
-	case Sample:
+func (p OverloadPolicy) String() string {
+	if p == Sample {
 		return "sample"
-	default:
-		return "block"
 	}
+	return "block"
 }
 
 // job is one unit of shard work: a finalized segment bound for a series,
@@ -99,7 +85,6 @@ type shard struct {
 	segments atomic.Int64 // segments applied
 	points   atomic.Int64 // original samples those segments represent
 	rejected atomic.Int64 // segments refused (time order, or not durable)
-	dropped  atomic.Int64 // segments shed by DropNewest/DropOldest
 	bytes    atomic.Int64 // wire bytes attributed to this shard
 	barriers atomic.Int64 // barriers acknowledged
 	commits  atomic.Int64 // commit batches (≤ barriers: the group-commit win)
@@ -109,7 +94,6 @@ type shard struct {
 	lagPoints   atomic.Int64 // Σ provisional-only covered points over those sessions
 	lagUpdates  atomic.Int64 // provisional receiver updates applied
 
-	degraded   atomic.Int64 // drop-oldest enqueues that degraded to blocking
 	shedPoints atomic.Int64 // sender-reported points decimated before the filter
 
 	// Under Sample, the retune loop reads these to judge queue pressure:
@@ -357,103 +341,21 @@ func (sh *shard) commit(batch []chan error) time.Duration {
 	return took
 }
 
-// enqueue delivers j under the given policy, reporting whether it was
-// accepted. Barriers always block: a session's final sync must not be
-// shed, or its ack could run ahead of its segments. Bytes are counted on
-// arrival, before the policy decides — shed segments crossed the wire
-// too.
-func (sh *shard) enqueue(j job, policy DropPolicy) bool {
+// enqueue delivers j under the given policy. Both policies block on a
+// full queue; under Sample the enqueue also counts whether it had to
+// wait, the retune loop's pressure signal. Bytes are counted on arrival.
+func (sh *shard) enqueue(j job, policy OverloadPolicy) {
 	sh.bytes.Add(j.bytes)
-	if policy == Block || policy == Sample || j.barrier != nil {
-		if policy == Sample {
-			sh.enqTotal.Add(1)
-			select {
-			case sh.jobs <- j:
-				return true
-			default:
-				sh.enqWaits.Add(1)
-			}
-		}
-		sh.jobs <- j
-		return true
-	}
-	if policy == DropOldest {
-		return sh.enqueueDropOldest(j)
-	}
-	select {
-	case sh.jobs <- j:
-		return true
-	default:
-		sh.drop(j)
-		return false
-	}
-}
-
-// enqueueDropOldest keeps the incoming segment, shedding queued ones from
-// the head until it fits. A popped barrier is never shed — it is held
-// locally and re-enqueued (a barrier closes only after the worker reaches
-// it, and its session enqueues nothing more until then, so moving it
-// toward the tail preserves every ordering that matters). Every push here
-// is non-blocking: a concurrent producer racing into a freed slot can
-// steal it, but never stall this session holding a popped barrier. If the
-// budget runs out — the queue is wall-to-wall barriers, or producers keep
-// winning the race — the policy degrades to Block for the leftovers, and
-// the degradation is counted rather than silent.
-func (sh *shard) enqueueDropOldest(j job) bool {
-	var barriers []job // popped barriers, re-enqueued ahead of j
-	pushed := false
-	for tries := 0; tries <= 2*cap(sh.jobs) && (!pushed || len(barriers) > 0); tries++ {
-		// Re-home held barriers first: they were queued before j arrived.
-		target := j
-		if len(barriers) > 0 {
-			target = barriers[0]
-		}
+	if policy == Sample {
+		sh.enqTotal.Add(1)
 		select {
-		case sh.jobs <- target:
-			if len(barriers) > 0 {
-				barriers = barriers[1:]
-			} else {
-				pushed = true
-			}
-			continue
+		case sh.jobs <- j:
+			return
 		default:
-		}
-		select {
-		case old := <-sh.jobs:
-			if old.barrier != nil {
-				barriers = append(barriers, old)
-			} else {
-				sh.drop(old)
-			}
-		default:
-			// Raced the worker to an empty queue; just retry the send.
+			sh.enqWaits.Add(1)
 		}
 	}
-	if len(barriers) > 0 || !pushed {
-		sh.degraded.Add(1)
-		for _, b := range barriers {
-			sh.jobs <- b
-		}
-		if !pushed {
-			sh.jobs <- j
-		}
-	}
-	return true
-}
-
-// drop counts one shed segment and keeps the dropped series' staleness
-// accounting honest: the points the segment carried were consumed from
-// the wire but will never land in the archive, so the series' reported
-// lag must grow by them, never shrink (a dropped provisional update in
-// particular must not roll the high-water mark back).
-func (sh *shard) drop(j job) {
-	sh.dropped.Add(1)
-	if j.sess != nil {
-		j.sess.dropped.Add(1)
-	}
-	if j.series != nil {
-		j.series.NoteShed(j.seg.Points, j.seg.Provisional)
-	}
+	sh.jobs <- j
 }
 
 // ShardMetrics is one shard's counters at a point in time.
@@ -462,7 +364,6 @@ type ShardMetrics struct {
 	Segments int64 // finalized segments applied to the archive
 	Points   int64 // original samples represented by those segments
 	Rejected int64 // segments refused (time order, or failed write-ahead)
-	Dropped  int64 // segments shed by the overload policy
 	Bytes    int64 // wire bytes attributed to this shard
 	QueueLen int   // jobs waiting right now
 	QueueCap int   // queue depth
@@ -480,10 +381,6 @@ type ShardMetrics struct {
 	LagPoints   int64
 	LagUpdates  int64
 
-	// Degraded counts drop-oldest enqueues that could not make room
-	// without blocking (queue wall-to-wall barriers, or producers kept
-	// winning the freed slot) and fell back to Block for the leftovers.
-	Degraded int64
 	// ShedPoints sums the points retune-capable senders reported
 	// decimating ahead of their filter for this shard's series.
 	ShedPoints int64
@@ -495,7 +392,6 @@ func (sh *shard) metrics() ShardMetrics {
 		Segments:    sh.segments.Load(),
 		Points:      sh.points.Load(),
 		Rejected:    sh.rejected.Load(),
-		Dropped:     sh.dropped.Load(),
 		Bytes:       sh.bytes.Load(),
 		QueueLen:    len(sh.jobs),
 		QueueCap:    cap(sh.jobs),
@@ -504,7 +400,6 @@ func (sh *shard) metrics() ShardMetrics {
 		LagSessions: sh.lagSessions.Load(),
 		LagPoints:   sh.lagPoints.Load(),
 		LagUpdates:  sh.lagUpdates.Load(),
-		Degraded:    sh.degraded.Load(),
 		ShedPoints:  sh.shedPoints.Load(),
 	}
 	if sh.store != nil {

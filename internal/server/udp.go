@@ -128,7 +128,7 @@ func (u *udpSession) Close(commit bool, tail int64) (udpingest.Ack, error) {
 		return udpingest.Ack{}, fmt.Errorf("wal commit failed: %v", err)
 	}
 	a := u.sess.ack()
-	return udpingest.Ack{Applied: a.Applied, Rejected: a.Rejected, Dropped: a.Dropped}, nil
+	return udpingest.Ack{Applied: a.Applied, Rejected: a.Rejected}, nil
 }
 
 // Ingestor is the transport-independent ingest client: both the TCP

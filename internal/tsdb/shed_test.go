@@ -22,75 +22,6 @@ func shedSeg(t0, t1 float64, pts int) core.Segment {
 	return seg(t0, t1, 0, 1, pts)
 }
 
-// TestNoteShedFinalGrowsStaleness is the drop-bookkeeping regression: a
-// finalized segment shed by an overload policy advances the consumed
-// high-water permanently — later appends never make the series claim it
-// is fresher than the dropped data allows.
-func TestNoteShedFinalGrowsStaleness(t *testing.T) {
-	_, s := shedSeries(t)
-	if err := s.Append(shedSeg(0, 1, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Staleness(); got != 0 {
-		t.Fatalf("staleness %d before any shed", got)
-	}
-	s.NoteShed(5, false)
-	if got := s.Staleness(); got != 5 {
-		t.Fatalf("staleness %d after shedding 5 finalized points, want 5", got)
-	}
-	if got := s.Shed(); got != 5 {
-		t.Fatalf("Shed() = %d, want 5", got)
-	}
-	// A later append re-covers nothing of the hole: staleness must not
-	// fall below the shed offset.
-	if err := s.Append(shedSeg(2, 3, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Staleness(); got != 5 {
-		t.Fatalf("staleness %d after a later append, want the permanent 5", got)
-	}
-}
-
-// TestNoteShedProvisionalNeverShrinksLag is the PR's high-water
-// regression: dropping a provisional update bumps the consumed mark but
-// leaves no permanent offset — and critically, the reported lag can
-// never shrink because of a drop.
-func TestNoteShedProvisionalNeverShrinksLag(t *testing.T) {
-	_, s := shedSeries(t)
-	if err := s.Append(shedSeg(0, 1, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendProvisional(shedSeg(1, 2, 8)); err != nil {
-		t.Fatal(err)
-	}
-	before := s.Staleness()
-	if before != 8 {
-		t.Fatalf("staleness %d with an 8-point provisional tail, want 8", before)
-	}
-	// A bigger provisional update (12 points) is shed: the sender got
-	// 12 points past the finalized coverage, so lag grows to 12.
-	s.NoteShed(12, true)
-	if got := s.Staleness(); got != 12 {
-		t.Fatalf("staleness %d after shedding a 12-point provisional, want 12", got)
-	}
-	if got := s.Shed(); got != 0 {
-		t.Fatalf("Shed() = %d after a provisional drop, want 0 (no permanent offset)", got)
-	}
-	// A SMALLER shed update must not roll the mark back.
-	s.NoteShed(3, true)
-	if got := s.Staleness(); got != 12 {
-		t.Fatalf("staleness %d after a smaller shed update, want the high-water 12", got)
-	}
-	// The final segment closing the interval re-carries its points: the
-	// permanent picture stays consistent.
-	if err := s.Append(shedSeg(1.5, 2.5, 12)); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Staleness(); got != 0 {
-		t.Fatalf("staleness %d after the closing final segment, want 0", got)
-	}
-}
-
 func TestNoteEffectiveEpsilonMonotoneClamped(t *testing.T) {
 	_, s := shedSeries(t)
 	if got := s.QueryEpsilon()[0]; got != 0.5 {

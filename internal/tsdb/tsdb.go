@@ -116,7 +116,6 @@ type Series struct {
 	provPoints  int // samples those provisional segments represent
 	consumed    int // high-water of points: most samples ever represented
 	lagHint     int // last advertised m_max_lag bound (0 = none/unbounded)
-	shed        int // samples consumed from senders but shed before landing
 
 	// effEps, when non-nil, is the effective per-dimension precision of
 	// the archived data: the contract ε inflated by whatever degradation
@@ -282,8 +281,9 @@ func (s *Series) Constant() bool { return s.constant }
 // Dim returns the series dimensionality.
 func (s *Series) Dim() int { return len(s.eps) }
 
-// Append stores finalized segments, which must arrive in time order and
-// match the series dimensionality. Any provisional tail is dropped:
+// Append stores finalized segments, which must match the series
+// dimensionality and must not overlap: each starts no earlier than the
+// previous finalized segment ends. Any provisional tail is dropped:
 // finalized segments supersede the announcements that preceded them
 // (the sender re-covers the same interval, possibly with a different
 // end point). The whole batch is validated against the post-supersede
@@ -295,11 +295,16 @@ func (s *Series) Append(segs ...core.Segment) error {
 	if len(segs) > 0 {
 		// The first segment must follow the last surviving (finalized)
 		// segment; the rest chain among themselves.
-		if err := s.validateLocked(segs[0], s.store.Len()-s.provisional-1); err != nil {
+		prev := s.store.Len() - s.provisional - 1
+		prevT1 := 0.0
+		if prev >= 0 {
+			prevT1 = s.store.Seg(prev).T1
+		}
+		if err := validateSeg(segs[0], len(s.eps), prevT1, prev >= 0); err != nil {
 			return err
 		}
 		for i := 1; i < len(segs); i++ {
-			if err := validateSeg(segs[i], len(s.eps), segs[i-1].T0, true); err != nil {
+			if err := validateSeg(segs[i], len(s.eps), segs[i-1].T1, true); err != nil {
 				return err
 			}
 		}
@@ -333,7 +338,15 @@ func (s *Series) AppendProvisional(seg core.Segment) error {
 		}
 		drop++
 	}
-	if err := s.validateLocked(seg, s.store.Len()-1-drop); err != nil {
+	// Provisional updates keep their supersede rule: the loop above
+	// leaves only provisional survivors that end by seg's start, and a
+	// finalized predecessor must merely not start after seg does.
+	prev := s.store.Len() - 1 - drop
+	prevT0 := 0.0
+	if prev >= 0 {
+		prevT0 = s.store.Seg(prev).T0
+	}
+	if err := validateSeg(seg, len(s.eps), prevT0, prev >= 0); err != nil {
 		return err
 	}
 	s.dropProvisionalLocked(drop)
@@ -342,29 +355,19 @@ func (s *Series) AppendProvisional(seg core.Segment) error {
 	return nil
 }
 
-// validateLocked checks seg against the series contract and against the
-// segment at index prev (the one it would follow; prev < 0 means it
-// would be first). s.mu must be held.
-func (s *Series) validateLocked(seg core.Segment, prev int) error {
-	prevT0 := 0.0
-	havePrev := prev >= 0
-	if havePrev {
-		prevT0 = s.store.Seg(prev).T0
-	}
-	return validateSeg(seg, len(s.eps), prevT0, havePrev)
-}
-
 // validateSeg is the segment-acceptance rule: matching dimensionality,
-// a forward span, and a start no earlier than its predecessor's.
-func validateSeg(seg core.Segment, dim int, prevT0 float64, havePrev bool) error {
+// a forward span, and, when the segment has a predecessor, a start no
+// earlier than notBefore — the predecessor's end for finalized segments
+// (a PLA's segments never overlap), its start for provisional updates.
+func validateSeg(seg core.Segment, dim int, notBefore float64, havePrev bool) error {
 	if seg.Dim() != dim || len(seg.X1) != dim {
 		return fmt.Errorf("%w: segment dim %d, series dim %d", ErrDim, seg.Dim(), dim)
 	}
 	if seg.T1 < seg.T0 {
 		return fmt.Errorf("%w: segment ends before it starts", ErrOrder)
 	}
-	if havePrev && seg.T0 < prevT0 {
-		return fmt.Errorf("%w: segment at %v after segment at %v", ErrOrder, seg.T0, prevT0)
+	if havePrev && seg.T0 < notBefore {
+		return fmt.Errorf("%w: segment at %v starts before %v", ErrOrder, seg.T0, notBefore)
 	}
 	return nil
 }
@@ -378,12 +381,8 @@ func (s *Series) storeLocked(seg core.Segment) {
 		s.provisional++
 		s.provPoints += seg.Points
 	}
-	// The consumed high-water floors at stored plus shed: samples the
-	// overload policy dropped were still consumed from the sender, so a
-	// later append must not hide that the stream got further than the
-	// archive did.
-	if s.points+s.shed > s.consumed {
-		s.consumed = s.points + s.shed
+	if s.points > s.consumed {
+		s.consumed = s.points
 	}
 }
 
@@ -520,7 +519,6 @@ func (s *Series) SetPoints(n int) {
 	s.mu.Lock()
 	s.points = n
 	s.consumed = n
-	s.shed = 0
 	s.mu.Unlock()
 }
 
@@ -579,42 +577,6 @@ func (s *Series) Staleness() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.consumed - (s.points - s.provPoints)
-}
-
-// NoteShed records that an overload policy dropped a segment carrying
-// pts consumed samples before it could land in the archive. The samples
-// crossed the wire, so the consumed high-water mark must advance past
-// them — a drop can only grow the series' reported staleness, never
-// shrink it (in particular, shedding a provisional receiver update must
-// not roll the provisional high-water back). Finalized drops count into
-// the permanent shed offset, since no later append will re-cover them;
-// a provisional drop only bumps the high-water, because the final
-// segment that closes its interval will still arrive and re-carry its
-// points.
-func (s *Series) NoteShed(pts int, provisional bool) {
-	if pts <= 0 {
-		return
-	}
-	s.mu.Lock()
-	if !provisional {
-		s.shed += pts
-	}
-	c := s.points - s.provPoints + s.shed
-	if provisional {
-		c += pts
-	}
-	if c > s.consumed {
-		s.consumed = c
-	}
-	s.mu.Unlock()
-}
-
-// Shed returns how many consumed samples overload policies dropped from
-// this series' stream, lifetime.
-func (s *Series) Shed() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.shed
 }
 
 // NoteEffectiveEpsilon widens the series' effective precision to at
