@@ -92,11 +92,13 @@ oracle-sweep:
 	PLA_ORACLE_TRIALS=800 $(GO) test -run TestOracle -count=1 ./internal/core
 
 # Docs drift gate: every plad flag and every /metrics series name must
-# be mentioned somewhere under docs/, and every flag-table row in
+# be mentioned somewhere under docs/; every flag-table row in
 # docs/OPERATIONS.md (a line starting | `-name`) must name a flag plad
-# still defines. The lists come from the binary itself (-list-flags /
-# -list-metrics), so adding a flag or metric without documenting it, or
-# deleting a flag without its row, fails the build.
+# still defines, and every metric-table row (a line starting
+# | `plad_...`) may name only metrics plad still exports. The lists come
+# from the binary itself (-list-flags / -list-metrics), so adding a flag
+# or metric without documenting it, or deleting one without its row,
+# fails the build.
 docs-check:
 	@fail=0; \
 	flags=$$($(GO) run ./cmd/plad -list-flags); \
@@ -106,7 +108,11 @@ docs-check:
 	for f in $$(sed -n 's/^| `-\([a-z0-9-]*\)[` ].*/\1/p' docs/OPERATIONS.md); do \
 		echo "$$flags" | grep -qx -- "$$f" || { echo "docs-check: docs/OPERATIONS.md has a row for -$$f, which plad does not define"; fail=1; }; \
 	done; \
-	for m in $$($(GO) run ./cmd/plad -list-metrics); do \
+	metrics=$$($(GO) run ./cmd/plad -list-metrics); \
+	for m in $$metrics; do \
 		grep -qr "$$m" docs/ || { echo "docs-check: metric $$m not documented in docs/"; fail=1; }; \
+	done; \
+	for m in $$(grep '^| `plad_' docs/OPERATIONS.md | grep -o '`plad_[a-z0-9_]*' | tr -d '`'); do \
+		echo "$$metrics" | grep -qx -- "$$m" || { echo "docs-check: docs/OPERATIONS.md has a row for $$m, which plad does not export"; fail=1; }; \
 	done; \
 	[ $$fail -eq 0 ] && echo "docs-check: all flags and metrics documented"; exit $$fail

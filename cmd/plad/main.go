@@ -11,7 +11,6 @@
 //	     [-eps-budget BYTES_PER_SEC] [-retune-every 1s]
 //	     [-transport tcp|udp] [-udp-listeners N]
 //	     [-data-dir DIR] [-store mem|mmap]
-//	     [-extent-compact-min N] [-extent-target-records N]
 //	     [-rollup-tiers 4,16]
 //	     [-sync always|interval|off] [-sync-every 50ms]
 //	     [-compact-bytes N] [-retain T] [-http ADDR]
@@ -34,10 +33,12 @@
 // -store mmap swaps the heap-resident segment store for the
 // read-optimized extent store: sealed segments live in memory-mapped,
 // checksummed files under <data-dir>/mstore, compaction seals instead
-// of snapshotting, and a cold start maps the extents and replays only
-// the WAL tail. A directory written by the other backend migrates in
-// one shot on boot. -transport udp additionally opens the datagram
-// ingest endpoint on the same port number as -addr: -udp-listeners
+// of snapshotting (and merges a series' runs of small extents at a
+// fixed policy: from 8 extents up, toward 65536 records each), and a
+// cold start maps the extents and replays only the WAL tail. A
+// directory written by the other backend migrates in one shot on boot.
+// -transport udp additionally opens the datagram ingest endpoint on the
+// same port number as -addr: -udp-listeners
 // SO_REUSEPORT sockets (one per core by default) accept PLU1 sessions
 // that land in the same shard pipeline, write-ahead log and archive as
 // TCP sessions; stream ingest and queries stay on TCP either way.
@@ -94,8 +95,6 @@ func main() {
 		syncEvery    = flag.Duration("sync-every", 50*time.Millisecond, "background WAL flush/fsync cadence for -sync interval|off")
 		compactBytes = flag.Int64("compact-bytes", 64<<20, "snapshot+truncate a shard's WAL when its tail exceeds this many bytes")
 		retain       = flag.Float64("retain", 0, "retention window in stream-time units; compaction drops older segments (0 = keep everything)")
-		extCompact   = flag.Int("extent-compact-min", 0, "with -store mmap: merge a series' small sealed extents once it has this many (0 = default 8, negative = disable background extent compaction)")
-		extTarget    = flag.Int("extent-target-records", 0, "with -store mmap: stop growing a merged extent once it holds this many records (0 = default 65536)")
 		rollupTiers  = flag.String("rollup-tiers", "", "comma-separated precision multipliers (e.g. 4,16): each compaction sweep maintains a rollup tier per multiplier, and BOUND queries select the coarsest tier that satisfies them (empty = no rollups)")
 		transport    = flag.String("transport", "tcp", "ingest transport: tcp, or udp (adds the datagram endpoint on -addr's port; TCP keeps serving streams and queries)")
 		udpListeners = flag.Int("udp-listeners", 0, "SO_REUSEPORT datagram listeners with -transport udp (0 = one per core)")
@@ -117,14 +116,12 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Shards:              *shards,
-		QueueDepth:          *queue,
-		DataDir:             *dataDir,
-		SyncEvery:           *syncEvery,
-		CompactBytes:        *compactBytes,
-		RetainSegments:      *retain,
-		ExtentCompactMin:    *extCompact,
-		ExtentTargetRecords: *extTarget,
+		Shards:         *shards,
+		QueueDepth:     *queue,
+		DataDir:        *dataDir,
+		SyncEvery:      *syncEvery,
+		CompactBytes:   *compactBytes,
+		RetainSegments: *retain,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "plad: "+format+"\n", args...)
 		},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -68,11 +69,13 @@ func rawQuery(t *testing.T, addr string, cmds []string) string {
 // TestStoreBackendQueryParity drives the identical workload — plain and
 // lag-bounded sessions over real TCP, a compaction in the middle, a
 // restart at the end — through a mem-backed and an mmap-backed server,
-// and requires the raw bytes of every query response to be identical.
+// and requires the raw bytes of every query response to be identical,
+// and identical to testdata/TestStoreBackendQueryParity_golden.txt.
 // This is the acceptance bar for the second backend: not "equivalent",
-// byte-equal.
+// byte-equal, and equal to a fixed transcript so the two cannot drift
+// together.
 func TestStoreBackendQueryParity(t *testing.T) {
-	runBackendQueryParity(t, nil, false)
+	runBackendQueryParity(t, nil, 2, false, nil)
 }
 
 // TestStoreBackendQueryParityCompacted is the same byte-equality bar
@@ -82,10 +85,40 @@ func TestStoreBackendQueryParity(t *testing.T) {
 // queries are answered from merged bit-packed v2 extents — which must
 // change nothing observable.
 func TestStoreBackendQueryParityCompacted(t *testing.T) {
-	runBackendQueryParity(t, func(cfg *server.Config) { cfg.ExtentCompactMin = 2 }, true)
+	runBackendQueryParity(t, func(cfg *server.Config) { server.SetExtentCompactMin(cfg, 2) }, 2, true,
+		func(t *testing.T, m server.Metrics) {
+			if m.MStore.Compactions == 0 {
+				t.Fatal("aggressive policy committed no extent merges")
+			}
+		})
 }
 
-func runBackendQueryParity(t *testing.T, tweak func(*server.Config), compacted bool) {
+// TestStoreBackendQueryParityFragmented is the same bar over a sealed
+// archive left fragmented: twenty ingest phases, a sweep after each and
+// extent compaction off, so every mmap series holds at least sixteen
+// extents and sealed lookups choose among many of them.
+func TestStoreBackendQueryParityFragmented(t *testing.T) {
+	runBackendQueryParity(t, func(cfg *server.Config) { server.SetExtentCompactMin(cfg, -1) }, 20, true,
+		func(t *testing.T, m server.Metrics) {
+			if m.MStore.Extents < 16*paritySeries {
+				t.Fatalf("%d extents over %d series, want ≥ 16 each", m.MStore.Extents, paritySeries)
+			}
+		})
+}
+
+// paritySeries is how many series the parity workload ingests: four
+// plain and four lag-bounded walks.
+const paritySeries = 8
+
+// runBackendQueryParity ingests the parity workload in phases (each a
+// fresh session per series over the next slice of every signal) with a
+// compaction sweep between phases, and after the last one too when
+// sweepLast is set. It then replays the parity script on both backends,
+// live and again after a restart, and requires both transcripts to
+// equal the test's golden file. check, when non-nil, inspects the mmap
+// server's metrics after the live queries. No reply field is masked:
+// none depends on wall time.
+func runBackendQueryParity(t *testing.T, tweak func(*server.Config), phases int, sweepLast bool, check func(*testing.T, server.Metrics)) {
 	type inst struct {
 		s    *server.Server
 		addr string
@@ -99,26 +132,20 @@ func runBackendQueryParity(t *testing.T, tweak func(*server.Config), compacted b
 		insts[i] = inst{s: s, addr: addr, dir: dir}
 	}
 
-	signals := walks(4, 1200)
-	halves := func(k int) [][]core.Point {
+	signals := walks(paritySeries/2, 1200)
+	slice := func(k int) [][]core.Point {
 		out := make([][]core.Point, len(signals))
 		for i, sig := range signals {
-			mid := len(sig) / 2
-			if k == 0 {
-				out[i] = sig[:mid]
-			} else {
-				out[i] = sig[mid:]
-			}
+			out[i] = sig[k*len(sig)/phases : (k+1)*len(sig)/phases]
 		}
 		return out
 	}
-
 	ingest := func(phase int) {
 		for _, in := range insts {
-			if res, err := round(in.addr, "walk", halves(phase), 0, 0); err != nil || res.Rejected != 0 || res.Dropped != 0 {
+			if res, err := round(in.addr, "walk", slice(phase), 0, 0); err != nil || res.Rejected != 0 || res.Dropped != 0 {
 				t.Fatalf("%s phase %d: %+v, %v", in.dir, phase, res, err)
 			}
-			if res, err := round(in.addr, "lagged", halves(phase), 20, 100); err != nil || res.Rejected != 0 {
+			if res, err := round(in.addr, "lagged", slice(phase), 20, 100); err != nil || res.Rejected != 0 {
 				t.Fatalf("%s lag phase %d: %+v, %v", in.dir, phase, res, err)
 			}
 		}
@@ -134,19 +161,16 @@ func runBackendQueryParity(t *testing.T, tweak func(*server.Config), compacted b
 			}
 		}
 	}
-	ingest(0)
-	sweep()
-	ingest(1)
-	if compacted {
-		sweep()
-		if got := insts[1].s.Metrics().MStore.Compactions; got == 0 {
-			t.Fatal("aggressive policy committed no extent merges")
+	for k := 0; k < phases; k++ {
+		ingest(k)
+		if k < phases-1 || sweepLast {
+			sweep()
 		}
 	}
 
 	var cmds []string
 	cmds = append(cmds, "SERIES")
-	for c := 0; c < 4; c++ {
+	for c := 0; c < paritySeries/2; c++ {
 		for _, prefix := range []string{"walk", "lagged"} {
 			name := fmt.Sprintf("%s-%d", prefix, c)
 			cmds = append(cmds,
@@ -164,6 +188,7 @@ func runBackendQueryParity(t *testing.T, tweak func(*server.Config), compacted b
 				"AGG count "+name+" 0 0 100000",
 				"QUANTILE "+name+" 0 0 100000 0 0.25 0.5 0.9 1",
 			)
+			cmds = append(cmds, boundaryProbes(t, insts[0].addr, name)...)
 		}
 	}
 	// The fan-out pushdown path: joined over every series, byte-stable
@@ -174,31 +199,21 @@ func runBackendQueryParity(t *testing.T, tweak func(*server.Config), compacted b
 		"QUANTILE * 0 0 100000 0.1 0.5 0.99",
 	)
 
-	compare := func(stage string) {
-		want := rawQuery(t, insts[0].addr, cmds)
-		got := rawQuery(t, insts[1].addr, cmds)
-		if got != want {
-			i := 0
-			for i < len(got) && i < len(want) && got[i] == want[i] {
-				i++
-			}
-			lo, hi := i-80, i+80
-			if lo < 0 {
-				lo = 0
-			}
-			clip := func(s string) string {
-				if hi > len(s) {
-					return s[lo:]
-				}
-				return s[lo:hi]
-			}
-			t.Fatalf("%s: query responses differ at byte %d:\nmem:  …%q…\nmmap: …%q…", stage, i, clip(want), clip(got))
+	// Each stage's transcript must be the same from both backends; the
+	// golden file holds the live stage and then the restarted one.
+	var golden [2]strings.Builder
+	stage := func(name string) {
+		for i, in := range insts {
+			fmt.Fprintf(&golden[i], "# %s\n%s", name, transcript(t, in.addr, cmds))
 		}
-		if !strings.Contains(want, "walk-0") {
-			t.Fatalf("%s: comparison ran against an empty archive:\n%s", stage, want)
+		if !strings.Contains(golden[0].String(), "walk-0") {
+			t.Fatalf("%s: transcript ran against an empty archive:\n%s", name, golden[0].String())
 		}
 	}
-	compare("live")
+	stage("live")
+	if check != nil {
+		check(t, insts[1].s.Metrics())
+	}
 
 	// Restart both from their directories alone and compare again: the
 	// mmap server now answers from mapped extents plus a replayed tail.
@@ -218,5 +233,76 @@ func runBackendQueryParity(t *testing.T, tweak func(*server.Config), compacted b
 			cancel()
 		}
 	}()
-	compare("restarted")
+	stage("restarted")
+
+	checkGolden(t, t.Name()+"_golden.txt", golden[0].String())
+	if d := firstDiff(golden[1].String(), golden[0].String()); d != "" {
+		t.Fatalf("mmap backend against mem: %s", d)
+	}
+}
+
+// boundaryProbes reads the series' segments with a first SCAN and
+// returns probes placed where a range walk starts or stops: AT, SCAN,
+// MEAN, MIN and MAX exactly on the first, a middle and the last
+// segment's start and end and across segment joins, inside the first
+// gap between two sessions' segments, before the first segment and
+// after the last.
+func boundaryProbes(t *testing.T, addr, name string) []string {
+	t.Helper()
+	type span struct{ t0, t1 string }
+	var segs []span
+	lines := strings.Split(transcript(t, addr, []string{"SCAN " + name + " -1e9 1e9"}), "\n")
+	for _, line := range lines[2:] {
+		f := strings.Fields(line)
+		if len(f) < 2 {
+			break
+		}
+		segs = append(segs, span{f[0], f[1]})
+	}
+	if len(segs) < 3 {
+		t.Fatalf("%s: %d segments, want ≥ 3 for boundary probes", name, len(segs))
+	}
+	num := func(s string) float64 {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	str := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	var out []string
+	agg := func(lo, hi string) {
+		out = append(out,
+			"MEAN "+name+" 0 "+lo+" "+hi,
+			"MIN "+name+" 0 "+lo+" "+hi,
+			"MAX "+name+" 0 "+lo+" "+hi,
+		)
+	}
+	rng := func(lo, hi string) {
+		out = append(out, "SCAN "+name+" "+lo+" "+hi)
+		agg(lo, hi)
+	}
+	n := len(segs)
+	for _, i := range []int{0, n / 2, n - 1} {
+		s := segs[i]
+		out = append(out, "AT "+name+" "+s.t0, "AT "+name+" "+s.t1)
+		rng(s.t0, s.t1)
+		if i+1 < n {
+			rng(s.t1, segs[i+1].t0) // across the join to the next segment
+			rng(s.t0, segs[i+1].t1) // two whole segments, start to end
+		}
+	}
+	agg(segs[1].t0, segs[n-2].t1) // most of the series; its SCAN would repeat the full one
+	for i := 0; i+1 < n; i++ {
+		if lo, hi := num(segs[i].t1), num(segs[i+1].t0); hi > lo {
+			out = append(out, "AT "+name+" "+str((lo+hi)/2))
+			rng(str(lo+(hi-lo)/4), str(hi-(hi-lo)/4))
+			break
+		}
+	}
+	first, last := num(segs[0].t0), num(segs[n-1].t1)
+	out = append(out, "AT "+name+" "+str(first-1), "AT "+name+" "+str(last+1))
+	rng(str(first-10), str(first-1))
+	rng(str(last+1), str(last+10))
+	return out
 }

@@ -7,12 +7,16 @@ package server_test
 // that composition must leave this file untouched.
 //
 // Regenerate with `go test ./internal/server -run TestQueryGolden -update`
-// ONLY for an intentional change to what a reply says.
+// ONLY for an intentional change to what a reply says. The backend
+// parity tests (backend_test.go) pin their transcripts the same way,
+// one testdata/<test>_golden.txt each.
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,7 +26,86 @@ import (
 	"github.com/pla-go/pla/internal/server"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/query_golden.txt (reply changes only)")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*_golden.txt transcripts (reply changes only)")
+
+// transcript runs cmds over one query session and renders each command
+// with its reply: "> cmd" and then the reply's lines. A listing reply
+// (SERIES, METRICS, SCAN, QUANTILE answered "OK") runs to its lone "."
+// line; every other reply is one line.
+func transcript(t *testing.T, addr string, cmds []string) string {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(time.Minute))
+	if _, err := conn.Write([]byte("PLDQ")); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	readLine := func() string {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("reading reply: %v", err)
+		}
+		return line
+	}
+	var sb strings.Builder
+	for _, cmd := range cmds {
+		if _, err := fmt.Fprintf(conn, "%s\n", cmd); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&sb, "> %s\n", cmd)
+		line := readLine()
+		sb.WriteString(line)
+		switch strings.ToUpper(strings.Fields(cmd)[0]) {
+		case "SERIES", "METRICS", "SCAN", "QUANTILE":
+			for listing := line == "OK\n"; listing && line != ".\n"; {
+				line = readLine()
+				sb.WriteString(line)
+			}
+		}
+	}
+	return sb.String()
+}
+
+// checkGolden compares got with testdata/<name>, rewriting the file
+// first under -update, and reports the first differing line.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden transcript (run -update once to create): %v", err)
+	}
+	if d := firstDiff(got, string(raw)); d != "" {
+		t.Fatalf("%s: %s", name, d)
+	}
+}
+
+// firstDiff describes the first line where two transcripts differ, or
+// returns "" when they are equal.
+func firstDiff(got, want string) string {
+	if got == want {
+		return ""
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			return fmt.Sprintf("transcript differs at line %d:\ngot:  %q\nwant: %q", i+1, gl[i], wl[i])
+		}
+	}
+	return fmt.Sprintf("transcript has %d lines, want %d", len(gl), len(wl))
+}
 
 // goldenScript is every AGG op and a 7-point QUANTILE, over one series,
 // another and the * fan-out, across a full, a clipped, a narrow and a
@@ -61,34 +144,5 @@ func TestQueryGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var sb strings.Builder
-	for _, cmd := range goldenScript() {
-		fmt.Fprintf(&sb, "> %s\n%s", cmd, strings.TrimSuffix(rawQuery(t, addr, []string{cmd}), "OK bye\n"))
-	}
-	got := sb.String()
-
-	path := filepath.Join("testdata", "query_golden.txt")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden transcript (run -update once to create): %v", err)
-	}
-	want := string(raw)
-	if got == want {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("transcript differs at line %d:\ngot:  %q\nwant: %q", i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("transcript has %d lines, want %d", len(gl), len(wl))
+	checkGolden(t, "query_golden.txt", transcript(t, addr, goldenScript()))
 }

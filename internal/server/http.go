@@ -132,13 +132,12 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		emitc("plad_rollup_tier_hits_total", "Query computations served from a rollup tier instead of the base series.", qc.TierHits)
 	}
 
-	// Extent-store counters (mmap backend only): the compaction policy
-	// and fence-index hit rate, observable in production.
+	// Extent-store counters (mmap backend only): the compaction policy,
+	// observable in production.
 	if m.MStoreActive {
 		fmt.Fprintf(w, "# HELP plad_mstore_extents Live mapped extent files across open series stores.\n# TYPE plad_mstore_extents gauge\nplad_mstore_extents %d\n", m.MStore.Extents)
 		emitc("plad_mstore_compactions_total", "Background extent merges committed.", int64(m.MStore.Compactions))
 		emitc("plad_mstore_compacted_bytes_total", "Bytes of small extent files merged away by compaction.", int64(m.MStore.CompactedBytes))
-		emitc("plad_mstore_index_jumps_total", "Sealed-archive lookups served via the learned fence index.", int64(m.MStore.IndexJumps))
 		if m.RollupActive {
 			fmt.Fprintf(w, "# HELP plad_rollup_extents Live mapped extent files belonging to rollup tiers.\n# TYPE plad_rollup_extents gauge\nplad_rollup_extents %d\n", m.MStore.RollupExtents)
 		}
@@ -187,7 +186,6 @@ func MetricNames() []string {
 		"plad_mstore_extents",
 		"plad_mstore_compactions_total",
 		"plad_mstore_compacted_bytes_total",
-		"plad_mstore_index_jumps_total",
 		"plad_rollup_extents",
 	}
 }

@@ -106,14 +106,6 @@ type Config struct {
 	// oldest segments once their end time falls more than this far
 	// behind the series' newest covered time. Zero keeps everything.
 	RetainSegments float64
-	// ExtentCompactMin is the mmap backend's compaction trigger: a
-	// series whose sealed extent count reaches it has adjacent small
-	// extents merged at the next WAL compaction pass. 0 = backend
-	// default (8); negative disables extent compaction.
-	ExtentCompactMin int
-	// ExtentTargetRecords is the merged-extent size goal for the mmap
-	// backend (0 = backend default, 65536 records).
-	ExtentTargetRecords int
 	// RollupTiers is the rollup precision ladder: for each multiplier m
 	// (> 1) listed, WAL compaction re-encodes every sealed series at
 	// m× its base ε into a rollup tier, and bound-carrying queries may
@@ -134,6 +126,11 @@ type Config struct {
 	// Logf, when set, receives one line per abnormal session end and per
 	// recovery/compaction event.
 	Logf func(format string, args ...any)
+
+	// extents is the mmap backend's extent compaction policy. It is
+	// zero — the backend's defaults — except in tests that force a
+	// fragmented or aggressively merged archive (export_test.go).
+	extents mmapstore.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -208,10 +205,7 @@ func New(db *tsdb.Archive, cfg Config) (*Server, error) {
 		if db != nil {
 			return nil, fmt.Errorf("server: the mmap store backend builds its own archive (pass a nil db)")
 		}
-		mm, err := mmapstore.OpenWith(wal.ExtentDir(cfg.DataDir), mmapstore.Config{
-			CompactMinExtents: cfg.ExtentCompactMin,
-			TargetRecords:     cfg.ExtentTargetRecords,
-		}, cfg.Logf)
+		mm, err := mmapstore.OpenWith(wal.ExtentDir(cfg.DataDir), cfg.extents, cfg.Logf)
 		if err != nil {
 			return nil, fmt.Errorf("server: open extent store: %w", err)
 		}

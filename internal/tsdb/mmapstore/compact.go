@@ -99,7 +99,7 @@ type preparedCompact struct {
 // read back and fsynced with no lock held.
 func (p *preparedCompact) Write() error {
 	st := p.st
-	if err := st.d.writeExtentFile(p.path, st.eps, st.constant, p.segs); err != nil {
+	if err := writeExtentV2(p.path, st.eps, st.constant, p.segs); err != nil {
 		return err
 	}
 	ext, err := openExtent(p.path, p.seq, len(st.eps))

@@ -1,6 +1,7 @@
 package mmapstore
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -312,8 +313,8 @@ func TestCrashMidCompaction(t *testing.T) {
 }
 
 // TestV1TestdataCompactionDifferential replays the frozen v1 extent
-// fixtures through the full migration path: fixture → v1-written store
-// (live parity vs MemStore) → reopened under the v2-writing config →
+// fixtures through the full migration path: fixture → v1 store
+// (parity vs MemStore) → reopened with compaction on →
 // compacted to v2 → restarted, with identical answers at every stage.
 // The fixtures pin the v1 format forever — regenerate (only if the
 // fixture set itself must change) with:
@@ -385,16 +386,15 @@ func TestV1TestdataCompactionDifferential(t *testing.T) {
 			root := t.TempDir()
 
 			// Stage 1: the archive as a v1 deployment left it — four
-			// small v1 extents.
-			d1 := openDirCfg(t, root, Config{WriteV1: true, CompactMinExtents: -1, NoFenceIndex: true})
+			// small v1 extents. The store seals v2 only, so each sealed
+			// extent is rewritten in place as v1 before the reopen.
+			d1 := openDirCfg(t, root, Config{CompactMinExtents: -1})
 			st1 := d1.Store("fx", fx.eps, fx.constant).(*Store)
 			pts := 0
 			chunk := (len(segs) + 3) / 4
+			var chunks [][]core.Segment
 			for lo := 0; lo < len(segs); lo += chunk {
-				hi := lo + chunk
-				if hi > len(segs) {
-					hi = len(segs)
-				}
+				hi := min(lo+chunk, len(segs))
 				for _, s := range segs[lo:hi] {
 					st1.Append(s)
 					pts += s.Points
@@ -402,12 +402,26 @@ func TestV1TestdataCompactionDifferential(t *testing.T) {
 				if err := st1.Seal(pts); err != nil {
 					t.Fatal(err)
 				}
+				chunks = append(chunks, segs[lo:hi])
+			}
+			d1.Close()
+			for k, c := range chunks {
+				if err := writeExtent(filepath.Join(st1.dir, fmt.Sprintf(extPattern, k+1)), fx.eps, fx.constant, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d1 = openDirCfg(t, root, Config{CompactMinExtents: -1})
+			st1 = d1.Store("fx", fx.eps, fx.constant).(*Store)
+			for _, e := range st1.exts {
+				if e.v2 != nil {
+					t.Fatalf("extent %d is not v1", e.seq)
+				}
 			}
 			mustMatchMem(t, st1, mem)
 			d1.Close()
 
-			// Stage 2: reopened by the v2-writing config; the v1
-			// extents serve as-is, then compaction migrates them.
+			// Stage 2: reopened with compaction on; the v1 extents
+			// serve as-is, then compaction migrates them to v2.
 			d2 := openDirCfg(t, root, Config{CompactMinExtents: 2})
 			st2 := d2.Store("fx", fx.eps, fx.constant).(*Store)
 			mustMatchMem(t, st2, mem)

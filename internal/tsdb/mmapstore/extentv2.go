@@ -356,9 +356,10 @@ func appendV2Block(dst []byte, segs []core.Segment, dim int, lanes []uint64, scr
 	return dst, scratch
 }
 
-// writeExtentV2 seals segs as one v2 extent file with the same
-// durability contract as writeExtent: flushed and fsynced before
-// returning, removed on failure.
+// writeExtentV2 seals segs as one v2 extent file — the only format the
+// store writes: flushed and fsynced before returning, so a caller
+// updating its meta afterwards never points at bytes the disk does not
+// hold, and removed on failure.
 func writeExtentV2(path string, eps []float64, constant bool, segs []core.Segment) error {
 	dim := len(eps)
 	n := len(segs)

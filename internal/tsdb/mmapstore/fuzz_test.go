@@ -1,6 +1,7 @@
 package mmapstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"os"
@@ -124,7 +125,8 @@ func FuzzExtentV2(f *testing.F) {
 			segs[i] = e.segment(i)
 		}
 		// searchLive must agree with a linear scan over the decoded
-		// records for any probe — the fence index's correctness floor.
+		// records for any probe — the in-extent half of every sealed
+		// lookup (findExtent picks the extent, searchLive the record).
 		if e.count > 0 {
 			for _, probe := range []float64{segs[0].T0 - 1, segs[0].T0, segs[e.count/2].T0, segs[e.count-1].T0 + 1} {
 				want := 0
@@ -238,6 +240,98 @@ func FuzzMmapExtent(f *testing.F) {
 					t.Fatalf("record %d dim %d changed across re-seal", i, d)
 				}
 			}
+		}
+	})
+}
+
+// FuzzReadMeta feeds arbitrary bytes to the series meta reader. The
+// meta carries no checksum, so every length it claims is untrusted: the
+// reader must return an error or a state, never panic, and never
+// allocate past its caps. A v2 state it accepts must re-encode to a
+// meta that reads back to the same bytes. Seeds: the fixture meta with
+// a persisted learned-index block, a v1 meta, and metas whose index
+// block is corrupt in each way the old index's verifier had to refuse.
+func FuzzReadMeta(f *testing.F) {
+	fixture, err := os.ReadFile(filepath.Join(fencedFixture, fencedSeriesDir, metaName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	f.Add(fixture[:len(fixture)-7]) // torn inside the index block
+	f.Add([]byte{})
+	f.Add([]byte("PLAM\x02"))
+
+	head := func(version byte) []byte {
+		b := append([]byte(metaMagic), version, 0)
+		b = binary.AppendUvarint(b, uint64(len(testEps)))
+		for _, e := range testEps {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e))
+		}
+		b = binary.AppendUvarint(b, 2)
+		return append(b, "fz"...)
+	}
+	v1 := head(metaVersion)
+	for _, v := range []uint64{300, 1, 0, 3, 0} { // points firstSeq headLo lastSeq tailDrop
+		v1 = binary.AppendUvarint(v1, v)
+	}
+	f.Add(v1)
+
+	v2 := head(metaVersion2)
+	for _, v := range []uint64{300, 3, 0, 0, 3, 1, 2, 3} { // points lastSeq headLo tailDrop, 3 extents
+		v2 = binary.AppendUvarint(v2, v)
+	}
+	withBlock := func(n, bound uint64, segs ...[4]float64) []byte {
+		b := binary.AppendUvarint(append([]byte(nil), v2...), n)
+		if n > 0 {
+			b = binary.AppendUvarint(b, bound)
+		}
+		for _, s := range segs {
+			for _, x := range s {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+			}
+		}
+		return b
+	}
+	f.Add(withBlock(0, 0))                                                         // no index
+	f.Add(withBlock(1, 0, [4]float64{0, 4, 0, 2}))                                 // sound
+	f.Add(withBlock(1, 0, [4]float64{math.NaN(), 1, 0, 0}))                        // NaN range
+	f.Add(withBlock(1, 0, [4]float64{5, 1, 0, 0}))                                 // reversed
+	f.Add(withBlock(4, 0, [4]float64{}, [4]float64{}, [4]float64{}, [4]float64{})) // more segments than extents
+	f.Add(withBlock(1, 0, [4]float64{0, 4, 1e6, 1e6}))                             // prediction out of bound
+	f.Add(withBlock(1, 1<<40, [4]float64{0, 4, 0, 2}))                             // implausible bound
+	f.Add(withBlock(2, 0, [4]float64{0, 4, 0, 2}))                                 // block shorter than its count
+	f.Add(withBlock(metaMaxFenceSegs+1, 0))                                        // count over the cap
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, metaName)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Skip()
+		}
+		m, err := readMeta(path)
+		if err != nil {
+			return // rejected cleanly
+		}
+		if len(m.eps) == 0 || len(m.eps) > len(data) || len(m.name) > len(data) || len(m.exts) > len(data) {
+			t.Fatalf("accepted state outgrew its %d-byte input: dim %d, name %d, %d extents",
+				len(data), len(m.eps), len(m.name), len(m.exts))
+		}
+		if !m.haveList {
+			return // v1: the writer emits v2 only, so there is no round trip
+		}
+		if err := writeMeta(dir, m, t.Logf); err != nil {
+			t.Fatal(err)
+		}
+		once, _ := os.ReadFile(path)
+		m2, err := readMeta(path)
+		if err != nil {
+			t.Fatalf("re-encoded meta does not read back: %v", err)
+		}
+		if err := writeMeta(dir, m2, t.Logf); err != nil {
+			t.Fatal(err)
+		}
+		if twice, _ := os.ReadFile(path); !bytes.Equal(once, twice) {
+			t.Fatal("meta changed across a read/write round trip")
 		}
 	})
 }

@@ -63,15 +63,15 @@ type Dir struct {
 	rollupExtents  atomic.Int64
 	compactions    atomic.Uint64
 	compactedBytes atomic.Uint64
-	indexJumps     atomic.Uint64
 
 	mu     sync.Mutex
 	stores map[string]*Store
 }
 
-// Config tunes a Dir's write format, compaction policy and lookup
-// path. The zero value is the production default: v2 extents, fence
-// index on, compaction at 8 extents merging toward 64Ki records.
+// Config tunes a Dir's extent compaction policy. The zero value is the
+// production default (compaction at 8 extents merging toward 64Ki
+// records), and the only one plad runs; tests set the knobs to force
+// fragmented or aggressively merged archives.
 type Config struct {
 	// CompactMinExtents is how many sealed extents a series
 	// accumulates before PrepareCompact offers a merge. 0 means the
@@ -82,15 +82,6 @@ type Config struct {
 	// smaller than this are merge candidates, and a merge run stops
 	// growing once it reaches it. 0 means the default (65536).
 	TargetRecords int
-
-	// NoFenceIndex disables the learned fence index and restores the
-	// global per-record binary search — the benchmarking baseline.
-	NoFenceIndex bool
-
-	// WriteV1 makes seals and compactions emit fixed-width v1 extents
-	// instead of column-block v2 — the format-comparison baseline.
-	// Either version stays readable regardless.
-	WriteV1 bool
 }
 
 // DirMetrics is a point-in-time snapshot of the Dir's observability
@@ -100,7 +91,6 @@ type DirMetrics struct {
 	RollupExtents  int64  // subset of Extents belonging to rollup tier series
 	Compactions    uint64 // committed background merges
 	CompactedBytes uint64 // bytes of retired extent files merged away
-	IndexJumps     uint64 // sealed lookups served via the fence index
 }
 
 // Open creates (if needed) and opens an extent-store root directory
@@ -127,7 +117,6 @@ func (d *Dir) Metrics() DirMetrics {
 		RollupExtents:  d.rollupExtents.Load(),
 		Compactions:    d.compactions.Load(),
 		CompactedBytes: d.compactedBytes.Load(),
-		IndexJumps:     d.indexJumps.Load(),
 	}
 }
 
@@ -146,14 +135,6 @@ func (d *Dir) compactPolicy() (minExtents, targetRecords int, enabled bool) {
 		targetRecords = defaultCompactTargetRecords
 	}
 	return minExtents, targetRecords, true
-}
-
-// writeExtentFile writes segs in the configured extent format.
-func (d *Dir) writeExtentFile(path string, eps []float64, constant bool, segs []core.Segment) error {
-	if d.cfg.WriteV1 {
-		return writeExtent(path, eps, constant, segs)
-	}
-	return writeExtentV2(path, eps, constant, segs)
 }
 
 // Exists reports whether root holds (or held) an extent store — the
@@ -224,8 +205,9 @@ func (d *Dir) Remove(name string) error {
 // the recovery step that replaces decoding a snapshot. Series whose
 // archive uses this Dir as its store factory self-populate from the
 // mapped extents when created; with any other factory (a migration
-// back to the in-memory store) the sealed segments are appended
-// explicitly. Returns the number of series loaded.
+// back to the in-memory store) the sealed segments are re-appended
+// through tsdb.Series.Restore, which skips (and this logs) a segment
+// overlapping its predecessor. Returns the number of series loaded.
 func (d *Dir) LoadInto(db *tsdb.Archive) (int, error) {
 	entries, err := os.ReadDir(d.root)
 	if err != nil {
@@ -260,10 +242,13 @@ func (d *Dir) LoadInto(db *tsdb.Archive) (int, error) {
 			d.mu.Lock()
 			st := d.openLocked(meta.name, meta.eps, meta.constant)
 			d.mu.Unlock()
-			if err := s.Append(st.Snapshot()...); err != nil {
+			skipped, err := s.Restore(st.Snapshot(), st.metaPoints)
+			if err != nil {
 				return n, fmt.Errorf("mstore: load %q: %w", meta.name, err)
 			}
-			s.SetPoints(st.metaPoints)
+			if skipped > 0 {
+				d.logf("mstore: load %q: skipped %d segments overlapping their predecessors", meta.name, skipped)
+			}
 		}
 		n++
 	}
@@ -328,9 +313,8 @@ type Store struct {
 	exts       []*extent
 	cumLive    []int     // cumLive[i] = live records in exts[:i]
 	liveT0s    []float64 // liveT0s[i] = first live start time of exts[i]
-	fence      *fenceIndex
-	headDisc   bool // the surviving sealed head lost its predecessor
-	metaPoints int  // persisted finalized sample count
+	headDisc   bool      // the surviving sealed head lost its predecessor
+	metaPoints int       // persisted finalized sample count
 	lastSeq    uint64
 	sums       map[uint64]*sidecar // loaded sketch sidecars, by extent seq
 
@@ -484,8 +468,8 @@ func (st *Store) open() error {
 	}
 	// A fully-fenced extent holds nothing live (persist retires them
 	// eagerly, so only a corrupt meta produces one); drop it now so the
-	// lookup path and fence index can assume every extent has a first
-	// live record. Its sidecar, left unclaimed, is removed below.
+	// lookup path can assume every extent has a first live record. Its
+	// sidecar, left unclaimed, is removed below.
 	var dead []*extent
 	liveN := 0
 	for _, e := range st.exts {
@@ -498,7 +482,6 @@ func (st *Store) open() error {
 	}
 	st.exts = st.exts[:liveN]
 	st.recount()
-	st.adoptFence(meta.fence)
 	for _, e := range st.exts {
 		path, ok := sumFiles[e.seq]
 		if !ok {
@@ -542,8 +525,7 @@ func (st *Store) open() error {
 // leftovers escape hatch of the factory).
 func (st *Store) reset() {
 	st.unmapAll()
-	st.exts, st.cumLive, st.tail = nil, nil, nil
-	st.liveT0s, st.fence = nil, nil
+	st.exts, st.cumLive, st.liveT0s, st.tail = nil, nil, nil, nil
 	st.sums = nil
 	st.headDisc = false
 	st.metaPoints = 0
@@ -568,20 +550,6 @@ func (st *Store) recount() {
 		n += e.live()
 	}
 	st.cumLive = append(st.cumLive, n)
-}
-
-// adoptFence installs the fence index loaded from the meta if it still
-// measures sound against the live extents, else rebuilds one.
-func (st *Store) adoptFence(pending *fenceIndex) {
-	if st.d.cfg.NoFenceIndex {
-		st.fence = nil
-		return
-	}
-	if pending != nil && pending.verify(st.liveT0s) {
-		st.fence = pending
-		return
-	}
-	st.fence = buildFence(st.liveT0s)
 }
 
 // sealedLen returns the number of live sealed records.
@@ -644,14 +612,10 @@ func (st *Store) segT0(i int) float64 {
 }
 
 // SearchT0 implements tsdb.TimeIndex: the least index whose segment
-// starts after t. Sealed lookup is fence-jump → one extent → one block
-// (or one in-extent binary search on v1 files) instead of a global
-// binary search probing O(log N) extents; Config.NoFenceIndex restores
-// the global search as the benchmarking baseline.
+// starts after t. Sealed lookup is a binary search over the extents'
+// first start times → one extent → one block (or one in-extent binary
+// search on v1 files), so no probe decodes a record of another extent.
 func (st *Store) SearchT0(t float64) int {
-	if st.d.cfg.NoFenceIndex {
-		return sort.Search(st.Len(), func(j int) bool { return st.segT0(j) > t })
-	}
 	ans := 0
 	if sl := st.sealedLen(); sl > 0 {
 		if k := st.findExtent(t); k >= 0 {
@@ -667,55 +631,21 @@ func (st *Store) SearchT0(t float64) int {
 
 // findExtent returns the index of the last extent whose first live
 // record starts at or before t, or -1 when t precedes the whole sealed
-// archive. The fence index predicts a position and a window of its
-// verified bound is searched around it; the geometric widening loops
-// make correctness independent of prediction quality (NaN, adversarial
-// t between measured start times), the bound just keeps them idle.
+// archive.
 func (st *Store) findExtent(t float64) int {
 	n := len(st.exts)
 	if n == 0 || t < st.liveT0s[0] {
 		return -1
 	}
 	if math.IsNaN(t) {
-		// Every ordering comparison against NaN is false, so the global
-		// binary search resolves to the last extent. The widening loops
-		// below cannot reproduce that (their comparisons are just as
-		// false), so answer it directly and keep NaN probes byte-equal
-		// with the mem backend.
+		// Every ordering comparison against NaN is false, so the mem
+		// backend's search over the records resolves NaN to the end: the
+		// last extent, where the search below lands too. Answered
+		// directly so NaN probes stay byte-equal with the mem backend
+		// whatever shape that search takes.
 		return n - 1
 	}
-	lo, hi := 0, n
-	if f := st.fence; f != nil {
-		st.d.indexJumps.Add(1)
-		k := f.predict(t)
-		if k < 0 {
-			k = 0
-		}
-		if k >= n {
-			k = n - 1
-		}
-		step := f.bound + 1
-		lo, hi = k-step, k+step+1
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > n {
-			hi = n
-		}
-		for s := step; lo > 0 && st.liveT0s[lo] > t; s *= 2 {
-			lo -= s
-			if lo < 0 {
-				lo = 0
-			}
-		}
-		for s := step; hi < n && st.liveT0s[hi] <= t; s *= 2 {
-			hi += s
-			if hi > n {
-				hi = n
-			}
-		}
-	}
-	return lo + sort.Search(hi-lo, func(j int) bool { return st.liveT0s[lo+j] > t }) - 1
+	return sort.Search(n, func(j int) bool { return st.liveT0s[j] > t }) - 1
 }
 
 // Snapshot implements tsdb.SegmentStore.
@@ -851,9 +781,8 @@ func (st *Store) livePointsSuffix(n int) int {
 //
 // It also bumps the store generation — persist is exactly the set of
 // mutations an in-flight two-phase seal or compaction must observe —
-// refreshes the fence index over the survivors, and advances the
-// sequence watermark (lastSeq only ever grows, so retired numbers are
-// never reissued).
+// and advances the sequence watermark (lastSeq only ever grows, so
+// retired numbers are never reissued).
 func (st *Store) persist(survivors, retired []*extent) {
 	st.gen++
 	for _, e := range survivors {
@@ -861,8 +790,7 @@ func (st *Store) persist(survivors, retired []*extent) {
 			st.lastSeq = e.seq
 		}
 	}
-	fence := st.newFence(liveT0sOf(survivors))
-	st.writeMetaFor(survivors, fence)
+	st.writeMetaFor(survivors)
 	for _, e := range retired {
 		delete(st.sums, e.seq)
 		os.Remove(sidecarPath(e.path))
@@ -872,37 +800,19 @@ func (st *Store) persist(survivors, retired []*extent) {
 	st.addExtents(int64(len(survivors) - len(st.exts)))
 	st.exts = append(st.exts[:0:0], survivors...)
 	st.recount()
-	st.fence = fence
-}
-
-// liveT0sOf collects each extent's first live start time.
-func liveT0sOf(exts []*extent) []float64 {
-	out := make([]float64, len(exts))
-	for i, e := range exts {
-		out[i] = e.t0(e.lo)
-	}
-	return out
-}
-
-// newFence builds a fence index unless the Dir disabled them.
-func (st *Store) newFence(t0s []float64) *fenceIndex {
-	if st.d.cfg.NoFenceIndex {
-		return nil
-	}
-	return buildFence(t0s)
 }
 
 // writeMeta persists the store's current fence state.
-func (st *Store) writeMeta() { st.writeMetaFor(st.exts, st.fence) }
+func (st *Store) writeMeta() { st.writeMetaFor(st.exts) }
 
 // writeMetaFor persists the meta describing the given extent set as the
 // live list (failures log; the files on disk still reconstruct the
 // pre-mutation state, so correctness degrades to replay time).
-func (st *Store) writeMetaFor(survivors []*extent, fence *fenceIndex) {
+func (st *Store) writeMetaFor(survivors []*extent) {
 	m := metaState{
 		name: st.name, eps: st.eps, constant: st.constant,
 		points: st.metaPoints, headDisc: st.headDisc && len(survivors) > 0,
-		lastSeq: st.lastSeq, haveList: true, fence: fence,
+		lastSeq: st.lastSeq, haveList: true,
 	}
 	if len(survivors) > 0 {
 		m.exts = make([]uint64, len(survivors))
@@ -1005,7 +915,7 @@ func (p *preparedSeal) Write() error {
 	if p.finalCount == 0 {
 		return nil // meta-only seal (an empty series' first persistence)
 	}
-	if err := st.d.writeExtentFile(p.path, st.eps, st.constant, p.segs); err != nil {
+	if err := writeExtentV2(p.path, st.eps, st.constant, p.segs); err != nil {
 		return err
 	}
 	ext, err := openExtent(p.path, p.seq, len(st.eps))
@@ -1113,8 +1023,7 @@ func syncDir(dir string, logf func(string, ...any)) {
 }
 
 // metaState is the decoded meta file: the series contract, the
-// persisted sample count, the live extent list with its end fences,
-// and the persisted fence index.
+// persisted sample count, and the live extent list with its end fences.
 //
 // Version 1 metas expressed the live extents as the window [firstSeq,
 // lastSeq]; compaction breaks the premise behind that (a merged extent
@@ -1134,9 +1043,8 @@ type metaState struct {
 	lastSeq  uint64 // sequence watermark (v1: also the last live extent)
 	tailDrop int    // records fenced off the back of the last live extent
 
-	haveList bool        // v2: exts is authoritative (even when empty)
-	exts     []uint64    // v2: live extent sequences in time order
-	fence    *fenceIndex // v2: persisted fence index (nil = none)
+	haveList bool     // v2: exts is authoritative (even when empty)
+	exts     []uint64 // v2: live extent sequences in time order
 }
 
 const (
@@ -1151,11 +1059,16 @@ const (
 	// metaMaxExts bounds the extent list a meta may claim, so a corrupt
 	// length prefix cannot drive a huge allocation.
 	metaMaxExts = 1 << 24
+
+	// metaMaxFenceSegs bounds the learned-index block an older writer
+	// may have persisted (the reader skips it), so a corrupt count
+	// cannot overflow the skip arithmetic.
+	metaMaxFenceSegs = 1 << 20
 )
 
 // writeMeta atomically replaces the series meta file (fsutil's
 // tmp-write/fsync/rename protocol; callers sync the directory). Always
-// writes version 2.
+// writes version 2, with an empty learned-index block.
 func writeMeta(dir string, m metaState, logf func(string, ...any)) error {
 	buf := make([]byte, 0, 64+len(m.name)+8*len(m.eps)+2*len(m.exts))
 	buf = append(buf, metaMagic...)
@@ -1182,18 +1095,7 @@ func writeMeta(dir string, m metaState, logf func(string, ...any)) error {
 	for _, seq := range m.exts {
 		buf = binary.AppendUvarint(buf, seq)
 	}
-	if m.fence == nil {
-		buf = binary.AppendUvarint(buf, 0)
-	} else {
-		buf = binary.AppendUvarint(buf, uint64(len(m.fence.segs)))
-		buf = binary.AppendUvarint(buf, uint64(m.fence.bound))
-		for _, s := range m.fence.segs {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.t0))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.t1))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.x0))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.x1))
-		}
-	}
+	buf = binary.AppendUvarint(buf, 0) // fenceSegs: no learned index
 
 	return fsutil.WriteFileAtomic(filepath.Join(dir, metaName), func(w io.Writer) error {
 		_, err := w.Write(buf)
@@ -1274,30 +1176,20 @@ func readMeta(path string) (metaState, error) {
 		}
 	}
 
+	// Metas written before the learned fence index went may carry one:
+	// a segment count, a bound and 32 bytes per segment. Check the
+	// block is whole, then ignore it.
 	nFence, p, err := takeUvarint(p)
-	if err != nil || nFence > fenceMaxSegs {
+	if err != nil || nFence > metaMaxFenceSegs {
 		return m, fmt.Errorf("mstore: bad meta fence index")
 	}
 	if nFence > 0 {
-		bound, rest, err := takeUvarint(p)
-		if err != nil || bound > fenceMaxBound {
+		if _, p, err = takeUvarint(p); err != nil {
 			return m, fmt.Errorf("mstore: bad meta fence bound")
 		}
-		p = rest
 		if uint64(len(p)) < 32*nFence {
 			return m, fmt.Errorf("mstore: truncated meta fence index")
 		}
-		f := &fenceIndex{segs: make([]fenceSeg, nFence), bound: int(bound)}
-		for i := range f.segs {
-			f.segs[i] = fenceSeg{
-				t0: math.Float64frombits(binary.LittleEndian.Uint64(p[0:])),
-				t1: math.Float64frombits(binary.LittleEndian.Uint64(p[8:])),
-				x0: math.Float64frombits(binary.LittleEndian.Uint64(p[16:])),
-				x1: math.Float64frombits(binary.LittleEndian.Uint64(p[24:])),
-			}
-			p = p[32:]
-		}
-		m.fence = f
 	}
 	return m, nil
 }

@@ -111,9 +111,11 @@ func ReadArchive(r io.Reader) (*Archive, error) {
 // ReadInto deserialises an archive written by WriteTo into a, which keeps
 // its own segment-store factory — the recovery path for durable storage,
 // where the caller owns the (empty) archive the server will serve from.
-// A series that already exists in a is an error.
+// A series that already exists in a is an error. Each series loads
+// through Series.Restore, so a segment overlapping its predecessor is
+// skipped rather than failing the load.
 func ReadInto(a *Archive, r io.Reader) error {
-	_, err := readArchiveInto(a, r, false)
+	_, _, err := readArchiveInto(a, r, false)
 	return err
 }
 
@@ -123,46 +125,47 @@ func ReadInto(a *Archive, r io.Reader) error {
 // first copy seen of each series wins. A skipped series' blob is
 // discarded without decoding. It returns the names it created, so a
 // caller hitting a decode error mid-file can roll back exactly this
-// file's contribution and fall through to an older generation.
-func MergeInto(a *Archive, r io.Reader) ([]string, error) {
+// file's contribution and fall through to an older generation — and
+// how many overlapping segments Series.Restore skipped.
+func MergeInto(a *Archive, r io.Reader) (created []string, skipped int, err error) {
 	return readArchiveInto(a, r, true)
 }
 
-func readArchiveInto(a *Archive, r io.Reader, skipExisting bool) (created []string, err error) {
+func readArchiveInto(a *Archive, r io.Reader, skipExisting bool) (created []string, skipped int, err error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(archiveMagic))
 	if _, err := io.ReadFull(br, head); err != nil {
-		return created, fmt.Errorf("%w: missing magic: %v", ErrFormat, err)
+		return created, skipped, fmt.Errorf("%w: missing magic: %v", ErrFormat, err)
 	}
 	if string(head) != archiveMagic {
-		return created, fmt.Errorf("%w: bad magic %q", ErrFormat, head)
+		return created, skipped, fmt.Errorf("%w: bad magic %q", ErrFormat, head)
 	}
 	nSeries, err := binary.ReadUvarint(br)
 	if err != nil || nSeries > 1<<24 {
-		return created, fmt.Errorf("%w: bad series count", ErrFormat)
+		return created, skipped, fmt.Errorf("%w: bad series count", ErrFormat)
 	}
 	for i := uint64(0); i < nSeries; i++ {
 		nameLen, err := binary.ReadUvarint(br)
 		if err != nil || nameLen > 1<<16 {
-			return created, fmt.Errorf("%w: bad name length", ErrFormat)
+			return created, skipped, fmt.Errorf("%w: bad name length", ErrFormat)
 		}
 		name := make([]byte, nameLen)
 		if _, err := io.ReadFull(br, name); err != nil {
-			return created, fmt.Errorf("%w: truncated name: %v", ErrFormat, err)
+			return created, skipped, fmt.Errorf("%w: truncated name: %v", ErrFormat, err)
 		}
 		points, err := binary.ReadUvarint(br)
 		if err != nil {
-			return created, fmt.Errorf("%w: bad point count", ErrFormat)
+			return created, skipped, fmt.Errorf("%w: bad point count", ErrFormat)
 		}
 		blobLen, err := binary.ReadUvarint(br)
 		if err != nil || blobLen > 1<<34 {
-			return created, fmt.Errorf("%w: bad blob length", ErrFormat)
+			return created, skipped, fmt.Errorf("%w: bad blob length", ErrFormat)
 		}
 		if skipExisting {
 			if _, gerr := a.Get(string(name)); gerr == nil {
 				// A newer file in the chain already provided this series.
 				if _, err := io.CopyN(io.Discard, br, int64(blobLen)); err != nil {
-					return created, fmt.Errorf("%w: truncated blob: %v", ErrFormat, err)
+					return created, skipped, fmt.Errorf("%w: truncated blob: %v", ErrFormat, err)
 				}
 				continue
 			}
@@ -172,30 +175,28 @@ func readArchiveInto(a *Archive, r io.Reader, skipExisting bool) (created []stri
 		// bytes, not allocate them up front.
 		var blob bytes.Buffer
 		if _, err := io.CopyN(&blob, br, int64(blobLen)); err != nil {
-			return created, fmt.Errorf("%w: truncated blob: %v", ErrFormat, err)
+			return created, skipped, fmt.Errorf("%w: truncated blob: %v", ErrFormat, err)
 		}
 		dec, err := encode.NewDecoder(bytes.NewReader(blob.Bytes()))
 		if err != nil {
-			return created, fmt.Errorf("%w: series %q: %v", ErrFormat, name, err)
+			return created, skipped, fmt.Errorf("%w: series %q: %v", ErrFormat, name, err)
 		}
 		segs, err := encode.ReadAll(dec)
 		if err != nil {
-			return created, fmt.Errorf("%w: series %q: %v", ErrFormat, name, err)
+			return created, skipped, fmt.Errorf("%w: series %q: %v", ErrFormat, name, err)
 		}
 		s, err := a.Create(string(name), dec.Epsilon(), dec.Constant())
 		if err != nil {
-			return created, err
+			return created, skipped, err
 		}
 		created = append(created, string(name))
-		if err := s.Append(segs...); err != nil {
-			return created, fmt.Errorf("%w: series %q: %v", ErrFormat, name, err)
+		n, err := s.Restore(segs, int(points))
+		if err != nil {
+			return created, skipped, fmt.Errorf("%w: series %q: %v", ErrFormat, name, err)
 		}
-		s.mu.Lock()
-		s.points = int(points)
-		s.consumed = s.points
-		s.mu.Unlock()
+		skipped += n
 	}
-	return created, nil
+	return created, skipped, nil
 }
 
 // SaveFile writes the archive to path, replacing any existing file.

@@ -319,6 +319,50 @@ func (s *Series) Append(segs ...core.Segment) error {
 	return nil
 }
 
+// Restore re-appends a recovered series' finalized segments — a
+// snapshot's, or another store's during a migration — and sets the
+// sample count to points. A segment that starts before its predecessor
+// ends (an overlapping run an older server accepted) is skipped and its
+// samples taken off points, as WAL replay rejects such a record on its
+// own: the rest of the series still loads. Any other invalid segment
+// fails the call as Append does, before anything mutates. It returns
+// how many segments it skipped.
+func (s *Series) Restore(segs []core.Segment, points int) (skipped int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	prev := s.store.Len() - s.provisional - 1
+	notBefore, havePrev := 0.0, prev >= 0
+	if havePrev {
+		notBefore = s.store.Seg(prev).T1
+	}
+	var drop []int // indices of skipped segments, ascending
+	for i, seg := range segs {
+		if err := validateSeg(seg, len(s.eps), notBefore, havePrev); err != nil {
+			if seg.T1 < seg.T0 || !errors.Is(err, ErrOrder) {
+				return 0, err
+			}
+			drop = append(drop, i)
+			points -= seg.Points
+			continue
+		}
+		notBefore, havePrev = seg.T1, true
+	}
+	skipped = len(drop)
+	if s.provisional > 0 {
+		s.dropProvisionalLocked(s.provisional)
+	}
+	for i, seg := range segs {
+		if len(drop) > 0 && drop[0] == i {
+			drop = drop[1:]
+			continue
+		}
+		seg.Provisional = false
+		s.storeLocked(seg)
+	}
+	s.points, s.consumed = points, points
+	return skipped, nil
+}
+
 // AppendProvisional stores one provisional receiver update. Trailing
 // provisional segments it supersedes are dropped — any that overlap
 // it, or start at or after its start (a degenerate single-point

@@ -79,7 +79,7 @@ func TestIncrementalSnapshotChain(t *testing.T) {
 		t.Fatalf("partial snapshot is %d bytes, full is %d; partial must be smaller", ps, fullSize)
 	}
 	got := tsdb.New()
-	if n, err := mergeSnapshot(parts[0].path, got); err != nil || n != 1 {
+	if n, _, err := mergeSnapshot(parts[0].path, got); err != nil || n != 1 {
 		t.Fatalf("partial holds %d series (err %v), want exactly the dirty one", n, err)
 	}
 	if names := got.Names(); len(names) != 1 || names[0] != "a" {

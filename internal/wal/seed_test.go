@@ -70,7 +70,7 @@ func TestSeedDirtyFromReplay(t *testing.T) {
 		t.Fatalf("partial seq %d not past full seq %d", parts[0].seq, snaps[0].seq)
 	}
 	got := tsdb.New()
-	if n, err := mergeSnapshot(parts[0].path, got); err != nil || n != 1 {
+	if n, _, err := mergeSnapshot(parts[0].path, got); err != nil || n != 1 {
 		t.Fatalf("partial holds %d series (err %v), want exactly the replayed one", n, err)
 	}
 	if names := got.Names(); len(names) != 1 || names[0] != "a" {

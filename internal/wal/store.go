@@ -296,8 +296,9 @@ func Open(dir string, nShards int, db *tsdb.Archive, opts Options) (st *Store, s
 				migrate = true
 			}
 			staged := tsdb.New()
-			n, _ := loadChain(snaps, parts, staged, opts)
+			n, rejected, _ := loadChain(snaps, parts, staged, opts)
 			stats.SnapshotSeries += n
+			stats.Rejected += rejected
 			// Effective-ε control series hide from Names() but ride the
 			// snapshots; merge them through the same reconciliation, with
 			// layout ownership resolved through their base name.
@@ -515,13 +516,13 @@ func sameSegment(a, b core.Segment) bool {
 	return true
 }
 
-// copySeries appends src's segments and sample count onto the freshly
-// created dst.
+// copySeries restores src's segments and sample count onto the freshly
+// created dst. src was itself loaded under Series.Restore's rule or WAL
+// replay's, so there is nothing left for the copy to skip.
 func copySeries(dst, src *tsdb.Series) error {
-	if err := dst.Append(src.Segments()...); err != nil {
+	if _, err := dst.Restore(src.Segments(), src.Points()); err != nil {
 		return fmt.Errorf("wal: merge %q: %w", src.Name(), err)
 	}
-	dst.SetPoints(src.Points())
 	return nil
 }
 
@@ -760,7 +761,7 @@ func recoverDir(dir string, db *tsdb.Archive, opts Options) (RecoverStats, uint6
 			maxSeq = f.seq
 		}
 	}
-	stats.SnapshotSeries, seed = loadChain(snaps, parts, db, opts)
+	stats.SnapshotSeries, stats.Rejected, seed = loadChain(snaps, parts, db, opts)
 
 	// Replay every wal file in sequence order. Files at or below the
 	// snapshot's sequence are normally deleted by compaction; if a crash
@@ -787,24 +788,26 @@ func recoverDir(dir string, db *tsdb.Archive, opts Options) (RecoverStats, uint6
 // is superseded. Leftover files a crash kept around contribute nothing
 // (their series already exist) and an unreadable file is rolled back
 // and skipped with a loud warning, falling through to the next older
-// generation exactly as full-snapshot recovery always has. Returns the
-// number of series loaded, plus a seed describing the chain's health —
+// generation exactly as full-snapshot recovery always has. A segment
+// overlapping its predecessor does not make a file unreadable: the load
+// skips it (Series.Restore), as replay rejects such a record. Returns
+// the number of series loaded and of segments skipped, plus a seed
+// describing the chain's health —
 // whether a full baseline read cleanly, how many partials stack on it,
 // and whether any file in between was unreadable.
-func loadChain(snaps, parts []seqFile, db *tsdb.Archive, opts Options) (int, chainSeed) {
-	loaded := 0
-	seed := chainSeed{clean: true}
+func loadChain(snaps, parts []seqFile, db *tsdb.Archive, opts Options) (loaded, skipped int, seed chainSeed) {
+	seed = chainSeed{clean: true}
 	for i := len(parts) - 1; i >= 0; i-- {
-		n, err := mergeSnapshot(parts[i].path, db)
-		loaded += n
+		n, k, err := mergeSnapshot(parts[i].path, db)
+		loaded, skipped = loaded+n, skipped+k
 		if err != nil {
 			seed.clean = false
 			opts.logf("wal: incremental snapshot %s unreadable, skipping: %v", filepath.Base(parts[i].path), err)
 		}
 	}
 	for i := len(snaps) - 1; i >= 0; i-- {
-		n, err := mergeSnapshot(snaps[i].path, db)
-		loaded += n
+		n, k, err := mergeSnapshot(snaps[i].path, db)
+		loaded, skipped = loaded+n, skipped+k
 		if err != nil {
 			seed.clean = false
 			opts.logf("wal: snapshot %s unreadable, trying older: %v", filepath.Base(snaps[i].path), err)
@@ -818,28 +821,29 @@ func loadChain(snaps, parts []seqFile, db *tsdb.Archive, opts Options) (int, cha
 			seed.chain++
 		}
 	}
-	return loaded, seed
+	return loaded, skipped, seed
 }
 
 // mergeSnapshot reads one chain file into db, skipping series a newer
 // file already provided. A decode failure rolls back exactly this
 // file's contribution, so the caller can fall through to an older
 // generation without a half-populated series shadowing a complete
-// older copy.
-func mergeSnapshot(path string, db *tsdb.Archive) (int, error) {
+// older copy. It returns the series created and the overlapping
+// segments skipped.
+func mergeSnapshot(path string, db *tsdb.Archive) (int, int, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer f.Close()
-	created, err := tsdb.MergeInto(db, bufio.NewReaderSize(f, 1<<16))
+	created, skipped, err := tsdb.MergeInto(db, bufio.NewReaderSize(f, 1<<16))
 	if err != nil {
 		for _, name := range created {
 			db.Drop(name)
 		}
-		return 0, err
+		return 0, 0, err
 	}
-	return len(created), nil
+	return len(created), skipped, nil
 }
 
 // writeMarker records that every wal record through seq has been sealed

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/pla-go/pla/internal/core"
+	"github.com/pla-go/pla/internal/encode"
 	"github.com/pla-go/pla/internal/tsdb"
 )
 
@@ -491,7 +494,7 @@ func TestPartitionedLayout(t *testing.T) {
 			t.Fatalf("shard %d: %d snapshots, %d wals; want 1, 0", k, len(snaps), len(wals))
 		}
 		part := tsdb.New()
-		n, err := mergeSnapshot(snaps[0].path, part)
+		n, _, err := mergeSnapshot(snaps[0].path, part)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -993,5 +996,58 @@ func TestLogMetricsCount(t *testing.T) {
 	}
 	if m.Fsyncs < 2 {
 		t.Fatalf("fsyncs %d, want ≥ 2 (one per SyncAlways commit)", m.Fsyncs)
+	}
+}
+
+// TestSnapshotOverlapSkipped recovers a shard whose newest snapshot
+// holds [0,100] (101 samples), then [1,2] and [3,4] (2 samples each),
+// which start inside it — a file a server from before the overlap rule
+// could write — above an older, valid generation. The snapshot loads
+// with its first segment, the two overlapping ones count as rejected as
+// replay would count them, and recovery does not fall back to the older
+// generation.
+func TestSnapshotOverlapSkipped(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(shard0Dir(dir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	seg := func(t0, t1 float64, pts int) core.Segment {
+		return core.Segment{T0: t0, T1: t1, X0: []float64{t0}, X1: []float64{t1}, Points: pts}
+	}
+	for seq, segs := range map[uint64][]core.Segment{
+		1: {seg(0, 50, 51)},
+		2: {seg(0, 100, 101), seg(1, 2, 2), seg(3, 4, 2)},
+	} {
+		var blob bytes.Buffer
+		if _, err := encode.EncodeAll(&blob, []float64{0.5}, false, segs); err != nil {
+			t.Fatal(err)
+		}
+		pts := 0
+		for _, s := range segs {
+			pts += s.Points
+		}
+		b := binary.AppendUvarint([]byte("PLAA"), 1)
+		b = binary.AppendUvarint(b, 2)
+		b = append(b, "ov"...)
+		b = binary.AppendUvarint(b, uint64(pts))
+		b = binary.AppendUvarint(b, uint64(blob.Len()))
+		b = append(b, blob.Bytes()...)
+		if err := os.WriteFile(filepath.Join(shard0Dir(dir), fmt.Sprintf(snapPattern, seq)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st, stats := openStore(t, dir, SyncAlways)
+	defer st.Close()
+	if stats.Rejected != 2 || stats.SnapshotSeries != 1 {
+		t.Fatalf("recover stats %+v, want 2 rejected from 1 snapshot series", stats)
+	}
+	s, err := st.DB().Get("ov")
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, _ := s.Last()
+	if s.Len() != 1 || last.T1 != 100 || s.Points() != 101 {
+		t.Fatalf("recovered %d segments ending at %v with %d points; want 1 ending at 100 with 101", s.Len(), last.T1, s.Points())
 	}
 }
